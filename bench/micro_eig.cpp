@@ -1,28 +1,23 @@
-// Eigensolver microbenchmark: two-stage SYEVD (syevd: band reduction,
-// bulge chase, divide-and-conquer) against the one-stage blocked solver
-// (syevd_onestage) and the serial reference (syevd_naive), plus the
-// partial-spectrum solver (syevd_partial, lowest n/8 pairs) against the
-// two-stage full solve, across problem sizes and pool widths. Results go
-// to BENCH_eig.json for cross-commit tracking; docs/PERF.md quotes a
-// snapshot.
+// Eigensolver microbenchmark: SYEVD (syevd: band reduction, bulge chase,
+// divide-and-conquer) against the serial reference (syevd_naive), plus
+// the partial-spectrum solver (syevd_partial, lowest n/8 pairs) against
+// the full solve, across problem sizes and pool widths, and the absolute
+// time of a 64^3 fft3d. Results go to BENCH_eig.json for cross-commit
+// tracking; docs/PERF.md quotes a snapshot.
 //
 // Every configuration is warmed up once and reported as the median of
-// five runs; the one-stage and two-stage timings are interleaved within
-// each rep (1,2,1,2,...) so slow turbo/thermal drift cannot bias their
-// ratio, which is the number the smoke gate and the PERF.md table quote.
+// five runs; the full and partial timings are interleaved within each
+// rep (full, partial, full, ...) so slow turbo/thermal drift cannot bias
+// their ratio, which is the number the smoke gate quotes.
 //
 // Modes:
 //   bench_micro_eig            full sweep: n in {64..1024}, threads {1,2,4,8}
-//   bench_micro_eig --smoke    n in {128, 256}; exits nonzero if the
-//                              two-stage solver is slower than the
-//                              reference at n=128, the partial solver is
-//                              slower than the two-stage full solve, the
-//                              two-stage solver is slower than the
-//                              one-stage solver at n=256 single-thread,
-//                              or the fused fft3d is slower than the
-//                              unfused baseline (the verify.sh
-//                              --bench-smoke gate; also wired into the
-//                              ctest kernel tier)
+//   bench_micro_eig --smoke    n = 128; exits nonzero if syevd is
+//                              slower than the reference at n=128 or the
+//                              partial solver is slower than the full
+//                              solve there (the verify.sh --bench-smoke
+//                              gate; also wired into the ctest kernel
+//                              tier)
 
 #include <algorithm>
 #include <chrono>
@@ -77,25 +72,23 @@ double median(std::vector<double> v) {
 
 struct ThreadSample {
   std::size_t threads = 0;
-  double onestage_ms = 0.0;
-  double ms = 0.0;                  ///< two-stage syevd
-  double speedup = 0.0;             ///< naive_ms / ms
-  double speedup_vs_onestage = 0.0; ///< onestage_ms / ms
+  double ms = 0.0;       ///< syevd
+  double speedup = 0.0;  ///< naive_ms / ms
 };
 
 struct PartialSample {
   std::size_t threads = 0;
   double ms = 0.0;
-  double speedup_vs_full = 0.0;  ///< two-stage full ms / partial ms
+  double speedup_vs_full = 0.0;  ///< full ms / partial ms
 };
 
 struct SizeSample {
   std::size_t n = 0;
   std::size_t partial_m = 0;  ///< lowest-pair window of the partial runs
   double naive_ms = 0.0;
-  std::vector<ThreadSample> blocked;
+  std::vector<ThreadSample> full;
   std::vector<PartialSample> partial;
-  double max_eigenvalue_diff = 0.0;  ///< two-stage vs naive, sanity check
+  double max_eigenvalue_diff = 0.0;  ///< syevd vs naive, sanity check
   double max_partial_diff = 0.0;     ///< partial vs naive on the window
 };
 
@@ -108,7 +101,7 @@ int main(int argc, char** argv) try {
   }
 
   const std::vector<std::size_t> sizes =
-      smoke ? std::vector<std::size_t>{128, 256}
+      smoke ? std::vector<std::size_t>{128}
             : std::vector<std::size_t>{64, 128, 256, 512, 1024};
   const std::vector<std::size_t> thread_sweep =
       smoke ? std::vector<std::size_t>{1, 2}
@@ -118,7 +111,8 @@ int main(int argc, char** argv) try {
   const std::size_t original_threads = pool.threads();
 
   std::printf(
-      "SYEVD microbenchmark: two-stage vs one-stage vs serial reference%s\n\n",
+      "SYEVD microbenchmark: syevd and syevd_partial vs serial "
+      "reference%s\n\n",
       smoke ? " (smoke)" : "");
 
   std::vector<SizeSample> samples;
@@ -131,7 +125,7 @@ int main(int argc, char** argv) try {
     // against it. The timed naive runs come after the sweep - seconds
     // of serial QL right before the single-thread comparison loop heats
     // the core and deflates sustained turbo, which biased the recorded
-    // one-stage/two-stage times (though not their ratio) by ~10%.
+    // solver times (though not their ratios) by ~10%.
     pool.resize(1);
     const dft::EigenResult naive = dft::syevd_naive(m);
 
@@ -140,38 +134,30 @@ int main(int argc, char** argv) try {
     sample.partial_m = std::max<std::size_t>(1, n / 8);
     for (const std::size_t threads : thread_sweep) {
       pool.resize(threads);
-      dft::EigenResult onestage = dft::syevd_onestage(m);  // warmup
-      dft::EigenResult blocked = dft::syevd(m);            // warmup
-      ThreadSample ts;
-      ts.threads = threads;
-      std::vector<double> t_one(kReps);
-      std::vector<double> t_two(kReps);
-      for (int r = 0; r < kReps; ++r) {  // interleaved: fair ratio
-        t_one[r] = time_ms([&] { onestage = dft::syevd_onestage(m); });
-        t_two[r] = time_ms([&] { blocked = dft::syevd(m); });
-      }
-      ts.onestage_ms = median(t_one);
-      ts.ms = median(t_two);
-      ts.speedup_vs_onestage = ts.ms > 0.0 ? ts.onestage_ms / ts.ms : 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        sample.max_eigenvalue_diff =
-            std::max(sample.max_eigenvalue_diff,
-                     std::fabs(blocked.eigenvalues[i] - naive.eigenvalues[i]));
-      }
-      sample.blocked.push_back(ts);
-
+      dft::EigenResult full = dft::syevd(m);  // warmup
       dft::EigenResult partial =
           dft::syevd_partial(m, sample.partial_m);  // warmup
+      ThreadSample ts;
+      ts.threads = threads;
       PartialSample ps;
       ps.threads = threads;
+      std::vector<double> t_full(kReps);
       std::vector<double> t_part(kReps);
-      for (int r = 0; r < kReps; ++r) {
+      for (int r = 0; r < kReps; ++r) {  // interleaved: fair ratio
+        t_full[r] = time_ms([&] { full = dft::syevd(m); });
         t_part[r] = time_ms([&] {
           partial = dft::syevd_partial(m, sample.partial_m);
         });
       }
+      ts.ms = median(t_full);
       ps.ms = median(t_part);
       ps.speedup_vs_full = ps.ms > 0.0 ? ts.ms / ps.ms : 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        sample.max_eigenvalue_diff =
+            std::max(sample.max_eigenvalue_diff,
+                     std::fabs(full.eigenvalues[i] - naive.eigenvalues[i]));
+      }
+      sample.full.push_back(ts);
       for (std::size_t i = 0; i < sample.partial_m; ++i) {
         sample.max_partial_diff =
             std::max(sample.max_partial_diff,
@@ -189,18 +175,15 @@ int main(int argc, char** argv) try {
       }
       sample.naive_ms = median(t);
     }
-    for (ThreadSample& t : sample.blocked) {
+    for (ThreadSample& t : sample.full) {
       t.speedup = t.ms > 0.0 ? sample.naive_ms / t.ms : 0.0;
     }
     samples.push_back(std::move(sample));
   }
 
-  // Fused vs unfused 3D FFT (the other half of the hot loop this bench
-  // guards): 64^3, single thread, warmup + median-of-5 each, interleaved.
-  double fft_fused_ms = 0.0;
-  double fft_unfused_ms = 0.0;
-  double fft_fused_min = 0.0;
-  double fft_unfused_min = 0.0;
+  // Absolute 64^3 fft3d time, single thread, warmup + median of reps:
+  // the other half of the SCF hot loop, tracked but not gated.
+  double fft_ms = 0.0;
   {
     pool.resize(1);
     dft::Grid3 grid(64, 64, 64);
@@ -210,44 +193,29 @@ int main(int argc, char** argv) try {
                              prng.next_double(-1.0, 1.0));
     }
     dft::Grid3 scratch = grid;
-    dft::fft3d_unfused(scratch, dft::FftDirection::kForward);  // warmup
-    scratch = grid;
     dft::fft3d(scratch, dft::FftDirection::kForward);  // warmup
-    // The fusion saves grid sweeps around FFT lines that dominate the
-    // wall time, so its margin is a few percent; more (cheap) reps and a
-    // min-based gate keep the comparison out of the noise.
     constexpr int kFftReps = 9;
-    std::vector<double> t_unfused(kFftReps);
-    std::vector<double> t_fused(kFftReps);
+    std::vector<double> t_fft(kFftReps);
     for (int r = 0; r < kFftReps; ++r) {
       scratch = grid;
-      t_unfused[r] = time_ms(
-          [&] { dft::fft3d_unfused(scratch, dft::FftDirection::kForward); });
-      scratch = grid;
-      t_fused[r] =
+      t_fft[r] =
           time_ms([&] { dft::fft3d(scratch, dft::FftDirection::kForward); });
     }
-    fft_unfused_ms = median(t_unfused);
-    fft_fused_ms = median(t_fused);
-    fft_unfused_min = *std::min_element(t_unfused.begin(), t_unfused.end());
-    fft_fused_min = *std::min_element(t_fused.begin(), t_fused.end());
+    fft_ms = median(t_fft);
   }
   pool.resize(original_threads);
 
-  TextTable table({"n", "naive", "threads", "one-stage", "two-stage",
-                   "vs naive", "vs one-stage", "partial(m=n/8)", "vs full",
-                   "max |dlambda|"});
+  TextTable table({"n", "naive", "threads", "syevd", "vs naive",
+                   "partial(m=n/8)", "vs full", "max |dlambda|"});
   for (const SizeSample& s : samples) {
-    for (std::size_t i = 0; i < s.blocked.size(); ++i) {
-      const ThreadSample& t = s.blocked[i];
+    for (std::size_t i = 0; i < s.full.size(); ++i) {
+      const ThreadSample& t = s.full[i];
       const PartialSample& p = s.partial[i];
       table.add_row({strformat("%zu", s.n),
                      strformat("%.1f ms", s.naive_ms),
                      strformat("%zu", t.threads),
-                     strformat("%.1f ms", t.onestage_ms),
                      strformat("%.1f ms", t.ms),
                      strformat("%.2fx", t.speedup),
-                     strformat("%.2fx", t.speedup_vs_onestage),
                      strformat("%.1f ms", p.ms),
                      strformat("%.2fx", p.speedup_vs_full),
                      strformat("%.1e", std::max(s.max_eigenvalue_diff,
@@ -255,9 +223,7 @@ int main(int argc, char** argv) try {
     }
   }
   std::printf("%s\n", table.render().c_str());
-  std::printf("fft3d 64^3 1T: fused %.1f ms, unfused %.1f ms (%.2fx)\n\n",
-              fft_fused_ms, fft_unfused_ms,
-              fft_fused_ms > 0.0 ? fft_unfused_ms / fft_fused_ms : 0.0);
+  std::printf("fft3d 64^3 1T: %.1f ms\n\n", fft_ms);
 
   Json bench = Json::object();
   bench.set("bench", "eig_syevd");
@@ -270,16 +236,14 @@ int main(int argc, char** argv) try {
     entry.set("naive_ms", s.naive_ms);
     entry.set("max_eigenvalue_diff", s.max_eigenvalue_diff);
     Json runs = Json::array();
-    for (const ThreadSample& t : s.blocked) {
+    for (const ThreadSample& t : s.full) {
       Json run = Json::object();
       run.set("threads", t.threads);
-      run.set("onestage_ms", t.onestage_ms);
       run.set("ms", t.ms);
       run.set("speedup", t.speedup);
-      run.set("speedup_vs_onestage", t.speedup_vs_onestage);
       runs.push_back(std::move(run));
     }
-    entry.set("blocked", std::move(runs));
+    entry.set("full", std::move(runs));
     entry.set("partial_m", s.partial_m);
     entry.set("max_partial_eigenvalue_diff", s.max_partial_diff);
     Json partial_runs = Json::array();
@@ -296,8 +260,7 @@ int main(int argc, char** argv) try {
   bench.set("sizes", std::move(entries));
   Json fft = Json::object();
   fft.set("grid", static_cast<std::size_t>(64));
-  fft.set("fused_ms", fft_fused_ms);
-  fft.set("unfused_ms", fft_unfused_ms);
+  fft.set("ms", fft_ms);
   bench.set("fft3d", std::move(fft));
   const char* path = "BENCH_eig.json";
   if (std::FILE* file = std::fopen(path, "w")) {
@@ -312,7 +275,7 @@ int main(int argc, char** argv) try {
 
   for (const SizeSample& s : samples) {
     if (s.max_eigenvalue_diff > 1e-8) {
-      std::fprintf(stderr, "FAIL: two-stage/naive spectra disagree at n=%zu\n",
+      std::fprintf(stderr, "FAIL: syevd/naive spectra disagree at n=%zu\n",
                    s.n);
       return 1;
     }
@@ -325,11 +288,11 @@ int main(int argc, char** argv) try {
     }
   }
   if (smoke) {
-    // Gate 1: at n=128 the two-stage path must not lose to the serial
-    // reference at any swept thread count's best.
+    // Gate 1: at n=128 syevd must not lose to the serial reference at
+    // any swept thread count's best.
     const SizeSample& s128 = samples[0];
-    double best = s128.blocked[0].ms;
-    for (const ThreadSample& t : s128.blocked) best = std::min(best, t.ms);
+    double best = s128.full[0].ms;
+    for (const ThreadSample& t : s128.full) best = std::min(best, t.ms);
     if (best > s128.naive_ms) {
       std::fprintf(stderr,
                    "FAIL: syevd slower than reference at n=128 "
@@ -349,35 +312,10 @@ int main(int argc, char** argv) try {
                    s128.partial_m, best_partial, best);
       return 1;
     }
-    // Gate 3: at n=256 single-thread the two-stage solver must beat the
-    // one-stage solver it replaced (interleaved medians, so machine
-    // drift cannot manufacture a pass or a fail).
-    const SizeSample& s256 = samples[1];
-    const ThreadSample& t256 = s256.blocked[0];
-    if (t256.ms > t256.onestage_ms) {
-      std::fprintf(stderr,
-                   "FAIL: two-stage syevd slower than one-stage at n=256 "
-                   "single-thread (%.1f ms vs %.1f ms)\n",
-                   t256.ms, t256.onestage_ms);
-      return 1;
-    }
-    // Gate 4: the fused 3D FFT must not lose to the unfused baseline.
-    // Best-of-reps with 5% headroom: the true margin is a few percent,
-    // so a strict median comparison would flake on a loaded machine.
-    if (fft_fused_min > 1.05 * fft_unfused_min) {
-      std::fprintf(stderr,
-                   "FAIL: fused fft3d slower than unfused at 64^3 "
-                   "(min %.1f ms vs %.1f ms)\n",
-                   fft_fused_min, fft_unfused_min);
-      return 1;
-    }
     std::printf(
-        "smoke OK: two-stage %.1f ms <= naive %.1f ms at n=128, "
-        "partial(m=%zu) %.1f ms <= full %.1f ms, two-stage %.1f ms <= "
-        "one-stage %.1f ms at n=256 1T, fused fft3d %.1f ms <= unfused "
-        "%.1f ms\n",
-        best, s128.naive_ms, s128.partial_m, best_partial, best, t256.ms,
-        t256.onestage_ms, fft_fused_ms, fft_unfused_ms);
+        "smoke OK: syevd %.1f ms <= naive %.1f ms at n=128, "
+        "partial(m=%zu) %.1f ms <= full %.1f ms\n",
+        best, s128.naive_ms, s128.partial_m, best_partial, best);
   }
   return 0;
 } catch (const NdftError& error) {

@@ -344,8 +344,8 @@ namespace {
 
 namespace {
 
-/// The Z pass shared by the fused and unfused 3D transforms: lines of
-/// stride nx*ny, batched over adjacent x; one task per y row.
+/// The Z pass of the 3D transform: lines of stride nx*ny, batched over
+/// adjacent x; one task per y row.
 void fft3d_z_pass(Complex* data, std::size_t nx, std::size_t ny,
                   std::size_t nz, FftDirection direction) {
   const FftPlan& plan = fft_plan(nz);
@@ -365,10 +365,10 @@ void fft3d_z_pass(Complex* data, std::size_t nx, std::size_t ny,
 }
 
 /// Transforms `count` contiguous X lines starting at `base` in place.
-/// Shared (and kept out of line) by the fused and unfused 3D transforms:
-/// the compiler may contract/vectorise the line kernels differently per
-/// inlining site, so the fused/unfused bitwise-identity contract requires
-/// both to run the exact same machine code.
+/// Kept out of line to pin the line kernel's codegen: GCC 12 fuses
+/// complex multiply patterns into vfmaddsub even under -ffp-contract=off,
+/// and whether it does depends on the inlining context, so inlining
+/// this into a different caller could change the transform's bits.
 [[gnu::noinline]] void transform_x_lines(Complex* base, std::size_t count,
                                          std::size_t nx, const FftPlan& plan,
                                          FftDirection direction,
@@ -396,10 +396,9 @@ void fft3d(Grid3& grid, FftDirection direction, OpCount* count) {
   // in place and immediately re-reads it for the strided Y lines while
   // the slab (nx*ny points) is still cache-resident — the X-pass scatter
   // and the Y-pass gather share one trip through memory, so the full
-  // transform sweeps the grid 4 times instead of 6. Per-line arithmetic
-  // and ordering are exactly those of the unfused passes, so results are
-  // bitwise identical to fft3d_unfused for any thread count (each slab
-  // is written by exactly one task).
+  // transform sweeps the grid 4 times instead of 6. Each slab is written
+  // by exactly one task, so results are bitwise identical for any thread
+  // count.
   {
     const FftPlan& plan_x = fft_plan(nx);
     const FftPlan& plan_y = fft_plan(ny);
@@ -426,55 +425,6 @@ void fft3d(Grid3& grid, FftDirection direction, OpCount* count) {
     count->add(fft_flops(n),
                // Fused X+Y sweep (read + write) plus the Z sweep.
                static_cast<Bytes>(4) * n * sizeof(Complex));
-  }
-}
-
-void fft3d_unfused(Grid3& grid, FftDirection direction, OpCount* count) {
-  const std::size_t nx = grid.nx();
-  const std::size_t ny = grid.ny();
-  const std::size_t nz = grid.nz();
-  NDFT_REQUIRE(nx > 0 && ny > 0 && nz > 0, "fft3d on an empty grid");
-  KernelTimer trace(KernelClass::kFft, "fft3d.unfused");
-  trace.set_dims(nx, ny, nz);
-  trace.set_work(fft_flops(grid.size()),
-                 static_cast<Bytes>(6) * grid.size() * sizeof(Complex));
-  trace.set_io(grid.size() * sizeof(Complex), grid.size() * sizeof(Complex));
-  Complex* data = grid.raw().data();
-
-  // X lines are contiguous rows of the storage: transform them in place,
-  // no gather/scatter round trip at all.
-  {
-    const FftPlan& plan = fft_plan(nx);
-    parallel_for(0, ny * nz, parallel_grain(nx),
-                 [&](std::size_t lo, std::size_t hi) {
-                   std::vector<Complex> work(plan.workspace_size());
-                   transform_x_lines(data + lo * nx, hi - lo, nx, plan,
-                                     direction, work.data());
-                 });
-  }
-  // Y lines: stride nx, batched over adjacent x; one task per z slab.
-  {
-    const FftPlan& plan = fft_plan(ny);
-    parallel_for(
-        0, nz, parallel_grain(nx * ny), [&](std::size_t lo, std::size_t hi) {
-          std::vector<Complex> gather(kLineBatch * ny);
-          std::vector<Complex> work(plan.workspace_size());
-          for (std::size_t iz = lo; iz < hi; ++iz) {
-            for (std::size_t ix = 0; ix < nx; ix += kLineBatch) {
-              const std::size_t batch = std::min(kLineBatch, nx - ix);
-              transform_line_batch(data + iz * nx * ny + ix, batch, ny, nx,
-                                   plan, direction, gather.data(),
-                                   work.data());
-            }
-          }
-        });
-  }
-  fft3d_z_pass(data, nx, ny, nz, direction);
-  if (count != nullptr) {
-    const std::size_t n = grid.size();
-    count->add(fft_flops(n),
-               // One read + one write of the full grid per dimension.
-               static_cast<Bytes>(6) * n * sizeof(Complex));
   }
 }
 

@@ -125,16 +125,9 @@ class Grid3 {
 /// gathers its strided Y lines while the slab is still cache-resident,
 /// so the transform sweeps the grid 4 times instead of 6; the Z pass
 /// (stride nx*ny) follows in cache-friendly line batches. Results are
-/// bitwise identical to fft3d_unfused() and for any thread count.
-/// `count`, when non-null, accumulates the analytic flop/byte cost.
+/// bitwise identical for any thread count. `count`, when non-null,
+/// accumulates the analytic flop/byte cost.
 void fft3d(Grid3& grid, FftDirection direction, OpCount* count = nullptr);
-
-/// The pre-fusion transform (one separate pass per dimension, 6 grid
-/// sweeps), kept public as the regression baseline the fused fft3d is
-/// tested and benchmarked against. Same semantics; bitwise-identical
-/// results.
-void fft3d_unfused(Grid3& grid, FftDirection direction,
-                   OpCount* count = nullptr);
 
 /// Analytic flop cost of a complex FFT of length n (~5 n log2 n).
 Flops fft_flops(std::size_t n);

@@ -282,29 +282,25 @@ void tql2(std::vector<double>& d, std::vector<double>& e, RealMatrix& z) {
   }
 }
 
-// ------------------------------------------------- blocked eigensolver
+// ------------------------------------------------ symmetric eigensolver
 //
-// LAPACK-shaped two-phase path on full symmetric storage. Reduction
-// processes panels of kEigBlock columns: each column's reflector is
-// generated after folding in the panel's previous reflectors (dlatrd
-// recurrence, with the dominant trailing matrix-vector product running on
-// the thread pool), and the trailing matrix is updated once per panel
-// with a single rank-2k GEMM on the blocked kernel. The tridiagonal
-// eigenproblem reuses the tql2 recurrence for d/e, but buffers each QL
-// sweep's Givens rotations and applies them to the *transposed*
-// eigenvector matrix, where a rotation touches two contiguous rows: the
-// sweep vectorises and splits across the pool by column ranges. The
-// back-transformation accumulates each panel into a compact-WY factor
-// (I - V T V^T) and applies it with three GEMMs. Every stage either runs
-// serially or partitions disjoint outputs with a fixed per-element
-// operation order, so results are bitwise identical for any thread count.
+// One dense pipeline serves the full and the partial solver alike:
+//  1. full -> band reduction in blocked QR panels whose two-sided
+//     trailing updates are level-3 GEMM;
+//  2. band -> tridiagonal Givens bulge chase, with the rotations logged;
+//  3. the tridiagonal stage - Cuppen divide-and-conquer for the full
+//     spectrum, bisection + inverse iteration for the lowest m pairs;
+//  4. the back-transform: the chase log replayed reversed, then the
+//     reduction's reflectors as compact-WY GEMMs, over however many
+//     eigenvector columns stage 3 produced.
+// Every stage either runs serially or partitions disjoint outputs with a
+// fixed per-element operation order, so results are bitwise identical
+// for any thread count.
 
-constexpr std::size_t kEigBlock = 32;  ///< reduction/back-transform panel
-
-/// The eigensolver issues many short-lived stages (per-column gemv, panel
-/// copies); waking the pool costs more than such a stage is worth, so
-/// these dispatch only above ~1M flops per call. The chunky stages (QL
-/// rotation batches, GEMM) keep the default grain policy.
+/// The eigensolver issues many short-lived stages (panel copies, secular
+/// root batches); waking the pool costs more than such a stage is worth,
+/// so these dispatch only above ~1M flops per call. The chunky stages
+/// (chase replay, GEMM) keep the default grain policy.
 constexpr std::size_t kEigDispatchWork = std::size_t{1} << 20;
 
 std::size_t eig_grain(std::size_t work_per_index) {
@@ -312,134 +308,7 @@ std::size_t eig_grain(std::size_t work_per_index) {
       1, kEigDispatchWork / std::max<std::size_t>(1, work_per_index));
 }
 
-/// Blocked Householder reduction to tridiagonal form (dsytrd/dlatrd
-/// lineage, lower-triangle convention). On return `d` is the diagonal,
-/// `e` the subdiagonal (e[0] unused), `tau` the reflector scalars, and
-/// reflector j's vector sits in a(j+1:n, j) with its leading 1 stored
-/// explicitly at a(j+1, j) for the back-transformation.
-void blocked_tridiagonalize(RealMatrix& a, std::vector<double>& d,
-                            std::vector<double>& e,
-                            std::vector<double>& tau) {
-  const std::size_t n = a.rows();
-  d.assign(n, 0.0);
-  e.assign(n, 0.0);
-  tau.assign(n, 0.0);
-  std::vector<double> v(n, 0.0);  // contiguous copy of the active reflector
-  for (std::size_t i0 = 0; i0 + 2 < n;) {
-    const std::size_t kb = std::min(kEigBlock, n - 2 - i0);
-    RealMatrix w(n, kb);  // the panel's W accumulator (dlatrd)
-    for (std::size_t jj = 0; jj < kb; ++jj) {
-      const std::size_t j = i0 + jj;
-      // Fold the panel's previous reflectors into column j:
-      // a(j:n, j) -= V(j:n, 0:jj) w(j, 0:jj)^T + W(j:n, 0:jj) v(j, 0:jj)^T.
-      if (jj > 0) {
-        for (std::size_t r = j; r < n; ++r) {
-          double acc = 0.0;
-          for (std::size_t p = 0; p < jj; ++p) {
-            acc += a(r, i0 + p) * w(j, p) + w(r, p) * a(j, i0 + p);
-          }
-          a(r, j) -= acc;
-        }
-      }
-      // Householder reflector annihilating a(j+2:n, j).
-      double tail2 = 0.0;
-      for (std::size_t r = j + 2; r < n; ++r) tail2 += a(r, j) * a(r, j);
-      const double alpha = a(j + 1, j);
-      double beta = alpha;
-      double tau_j = 0.0;
-      if (tail2 != 0.0) {
-        beta = -sign_of(pythag(alpha, std::sqrt(tail2)), alpha);
-        tau_j = (beta - alpha) / beta;
-        const double inv = 1.0 / (alpha - beta);
-        for (std::size_t r = j + 2; r < n; ++r) a(r, j) *= inv;
-      }
-      tau[j] = tau_j;
-      e[j + 1] = beta;
-      a(j + 1, j) = 1.0;  // leading 1 of v_j, kept for the back-transform
-      for (std::size_t r = 0; r < n; ++r) v[r] = (r > j) ? a(r, j) : 0.0;
-      // w_j = tau (A_t v - V (W^T v) - W (V^T v)) - (tau/2)(w^T v) v, with
-      // A_t the trailing square as of panel start. The matrix-vector
-      // product dominates the panel work; rows are independent.
-      parallel_for(j + 1, n, eig_grain(n - j),
-                   [&](std::size_t lo, std::size_t hi) {
-                     for (std::size_t r = lo; r < hi; ++r) {
-                       w(r, jj) = dot_range(a.row(r), v.data(), j + 1, n);
-                     }
-                   });
-      if (jj > 0) {
-        // Row-outer accumulation: the W / V panel rows are contiguous and
-        // the jj partial sums are independent chains.
-        std::vector<double> wtv(jj, 0.0);
-        std::vector<double> vtv(jj, 0.0);
-        for (std::size_t r = j + 1; r < n; ++r) {
-          const double* wrow = w.row(r);
-          const double* arow = a.row(r) + i0;
-          const double vr = v[r];
-          for (std::size_t p = 0; p < jj; ++p) {
-            wtv[p] += wrow[p] * vr;
-            vtv[p] += arow[p] * vr;
-          }
-        }
-        for (std::size_t r = j + 1; r < n; ++r) {
-          double acc = 0.0;
-          for (std::size_t p = 0; p < jj; ++p) {
-            acc += a(r, i0 + p) * wtv[p] + w(r, p) * vtv[p];
-          }
-          w(r, jj) -= acc;
-        }
-      }
-      double dot = 0.0;
-      for (std::size_t r = j + 1; r < n; ++r) {
-        w(r, jj) *= tau_j;
-        dot += w(r, jj) * v[r];
-      }
-      const double correction = -0.5 * tau_j * dot;
-      for (std::size_t r = j + 1; r < n; ++r) {
-        w(r, jj) += correction * v[r];
-      }
-    }
-    // Trailing rank-2k update A_t -= V W^T + W V^T, expressed as the
-    // single blocked GEMM A_t += (-[V | W]) [W | V]^T over the full
-    // trailing square (the update is symmetric, so full storage stays
-    // consistent for the next panel's matrix-vector products).
-    const std::size_t t0 = i0 + kb;
-    const std::size_t m = n - t0;
-    if (m > 0) {
-      RealMatrix left(m, 2 * kb);
-      RealMatrix right(m, 2 * kb);
-      RealMatrix trailing(m, m);
-      parallel_for(0, m, eig_grain(4 * kb + m),
-                   [&](std::size_t lo, std::size_t hi) {
-                     for (std::size_t r = lo; r < hi; ++r) {
-                       for (std::size_t p = 0; p < kb; ++p) {
-                         const double vv = a(t0 + r, i0 + p);
-                         const double ww = w(t0 + r, p);
-                         left(r, p) = vv;
-                         left(r, kb + p) = ww;
-                         right(r, p) = ww;
-                         right(r, kb + p) = vv;
-                       }
-                       std::copy(a.row(t0 + r) + t0, a.row(t0 + r) + n,
-                                 trailing.row(r));
-                     }
-                   });
-      gemm(left, right, trailing, -1.0, 1.0, /*transpose_a=*/false,
-           /*transpose_b=*/true);
-      parallel_for(0, m, eig_grain(m),
-                   [&](std::size_t lo, std::size_t hi) {
-                     for (std::size_t r = lo; r < hi; ++r) {
-                       std::copy(trailing.row(r), trailing.row(r) + m,
-                                 a.row(t0 + r) + t0);
-                     }
-                   });
-    }
-    i0 += kb;
-  }
-  for (std::size_t i = 0; i < n; ++i) d[i] = a(i, i);
-  if (n >= 2) e[n - 1] = a(n - 1, n - 2);
-}
-
-/// One Givens rotation of a QL sweep, mixing eigenvector-matrix columns
+/// One Givens rotation of the bulge chase, acting on the plane of rows
 /// (col, col + 1).
 struct GivensRotation {
   std::size_t col;
@@ -447,141 +316,22 @@ struct GivensRotation {
   double s;
 };
 
-/// Deferred application of QL rotations to the transposed eigenvector
-/// matrix (zt(j, k) = Z(k, j)). The d/e recurrence never reads zt, so
-/// rotations accumulate in a log and hit the matrix in large batches: one
-/// pool dispatch applies tens of sweeps, amortising the dispatch cost
-/// that per-sweep application would pay ~2n times per solve. Within a
-/// batch every column sees the rotations in recorded order — exactly the
-/// serial order — so results stay bitwise identical for any thread count
-/// and any batch boundary.
-class RotationLog {
- public:
-  explicit RotationLog(RealMatrix& zt) : zt_(&zt) {
-    pending_.reserve(kFlushThreshold + zt.rows());
-  }
-
-  void push(std::size_t col, double c, double s) {
-    pending_.push_back({col, c, s});
-  }
-
-  /// Called between sweeps; applies the log once it is worth a dispatch.
-  void maybe_flush() {
-    if (pending_.size() >= kFlushThreshold) flush();
-  }
-
-  void flush() {
-    if (pending_.empty()) return;
-    RealMatrix& zt = *zt_;
-    // Wide column bands: every band re-reads the whole rotation log, so
-    // narrow bands multiply the per-rotation fixed cost. 128 columns keep
-    // that amortised while still splitting across the pool.
-    const std::size_t band = std::max<std::size_t>(
-        128, parallel_grain(6 * pending_.size()));
-    parallel_for(0, zt.cols(), band,
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (const GivensRotation& rot : pending_) {
-                     double* upper = zt.row(rot.col);
-                     double* lower = zt.row(rot.col + 1);
-                     for (std::size_t k = lo; k < hi; ++k) {
-                       const double f = lower[k];
-                       const double g = upper[k];
-                       lower[k] = rot.s * g + rot.c * f;
-                       upper[k] = rot.c * g - rot.s * f;
-                     }
-                   }
-                 });
-    pending_.clear();
-  }
-
- private:
-  /// Rotations per batch: big enough that one dispatch carries real work
-  /// (~6 * threshold * n flops), small enough to stay cache-resident.
-  static constexpr std::size_t kFlushThreshold = 16384;
-
-  std::vector<GivensRotation> pending_;
-  RealMatrix* zt_;
-};
-
-/// Implicit-shift QL with the same d/e recurrence as tql2, but with the
-/// rotations routed through a RotationLog instead of being applied to the
-/// eigenvector matrix one sweep at a time. The rotation sequence depends
-/// only on d/e, so it is identical for any thread count.
-void tridiag_ql(std::vector<double>& d, std::vector<double>& e,
-                RealMatrix& zt) {
-  const std::size_t n = d.size();
-  if (n <= 1) return;
-  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
-  e[n - 1] = 0.0;
-  RotationLog log(zt);
-
-  for (std::size_t l = 0; l < n; ++l) {
-    unsigned iter = 0;
-    std::size_t m;
-    do {
-      for (m = l; m + 1 < n; ++m) {
-        const double dd = std::fabs(d[m]) + std::fabs(d[m + 1]);
-        if (std::fabs(e[m]) <= std::numeric_limits<double>::epsilon() * dd) {
-          break;
-        }
-      }
-      if (m != l) {
-        NDFT_REQUIRE(iter++ < 50, "QL iteration failed to converge");
-        double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-        double r = pythag(g, 1.0);
-        g = d[m] - d[l] + e[l] / (g + sign_of(r, g));
-        double s = 1.0;
-        double c = 1.0;
-        double p = 0.0;
-        bool underflow = false;
-        for (std::size_t ii = m; ii-- > l;) {
-          const std::size_t i = ii;
-          double f = s * e[i];
-          const double b = c * e[i];
-          e[i + 1] = r = pythag(f, g);
-          if (r == 0.0) {
-            d[i + 1] -= p;
-            e[m] = 0.0;
-            underflow = true;
-            break;
-          }
-          s = f / r;
-          c = g / r;
-          g = d[i + 1] - p;
-          r = (d[i] - g) * s + 2.0 * c * b;
-          p = s * r;
-          d[i + 1] = g + p;
-          g = c * r - b;
-          log.push(i, c, s);
-        }
-        log.maybe_flush();
-        if (underflow) continue;
-        d[l] -= p;
-        e[l] = g;
-        e[m] = 0.0;
-      }
-    } while (m != l);
-  }
-  log.flush();
-}
-
 /// z := Q z with Q = H_0 H_1 ... read from reflectors stored in the
 /// columns of `a`. Reflector j spans rows j+offset..n-1 with its unit
-/// head stored explicitly at a(j+offset, j): offset 1 matches the
-/// one-stage tridiagonalization, offset b the full->band reduction.
-/// Panels are applied in reverse order as compact-WY updates (dlarft
-/// forward factor, then three GEMMs per panel restricted to the rows the
-/// panel touches).
+/// head stored explicitly at a(j+offset, j); the full->band reduction
+/// passes its bandwidth b. Panels are applied in reverse order as
+/// compact-WY updates (dlarft forward factor, then three GEMMs per panel
+/// restricted to the rows the panel touches).
 void apply_q_panels(const RealMatrix& a, const std::vector<double>& tau,
                     RealMatrix& z, std::size_t offset) {
   const std::size_t n = a.rows();
   if (n < offset + 2) return;
   // The WY grouping here is independent of the panel width the reduction
-  // used - any run of consecutive reflectors forms a panel. Wider panels
-  // than kEigBlock pay off on the apply side: the staging copies and
-  // per-panel fixed costs scale with the panel count while the GEMM flop
-  // total stays constant.
-  constexpr std::size_t kApplyBlock = 4 * kEigBlock;
+  // used - any run of consecutive reflectors forms a panel. Wide panels
+  // pay off on the apply side: the staging copies and per-panel fixed
+  // costs scale with the panel count while the GEMM flop total stays
+  // constant.
+  constexpr std::size_t kApplyBlock = 128;
   std::vector<std::size_t> panel_starts;
   for (std::size_t i0 = 0; i0 + offset + 1 < n;
        i0 += std::min(kApplyBlock, n - offset - 1 - i0)) {
@@ -645,26 +395,20 @@ void apply_q_panels(const RealMatrix& a, const std::vector<double>& tau,
   }
 }
 
-/// One-stage back-transform: the tridiagonalization's reflectors have
-/// their unit heads one row below the diagonal.
-void apply_q_blocked(const RealMatrix& a, const std::vector<double>& tau,
-                     RealMatrix& z) {
-  apply_q_panels(a, tau, z, 1);
-}
-
 // ------------------------------------------- two-stage reduction (SBR)
 //
-// The two-stage path reduces full -> band -> tridiagonal. Stage one runs
+// The reduction runs full -> band -> tridiagonal. Stage one runs
 // blocked QR panels of width b: each panel's reflectors are generated on a
 // transposed copy (contiguous rows), and the trailing square absorbs the
 // whole panel at once through the symmetric compact-WY update
 // A <- A - Z V^T - V Z^T with Z = Y - (1/2) V S, Y = A V T,
-// S = T^T (V^T Y) - pure level-3 GEMM, unlike the one-stage path whose
-// per-column matrix-vector product is level-2 memory-bound. Stage two
+// S = T^T (V^T Y) - pure level-3 GEMM, where a direct Householder
+// tridiagonalization spends half its flops in level-2 memory-bound
+// matrix-vector products. Stage two
 // chases the band to tridiagonal form with Givens rotations (Schwarz /
 // dsbtrd lineage) recorded into a log; the eigenvector back-transform
-// replays that log reversed and transposed, then pushes through the same
-// compact-WY panels as the one-stage solver (offset b instead of 1).
+// replays that log reversed and transposed, then pushes through stage
+// one's reflectors as compact-WY panels (apply_q_panels, offset b).
 
 constexpr std::size_t kBandWidth = 64;  ///< stage-one bandwidth, large n
 
@@ -677,11 +421,6 @@ constexpr std::size_t kBandWidth = 64;  ///< stage-one bandwidth, large n
 std::size_t band_width(std::size_t n) {
   return n < 384 ? 48 : kBandWidth;
 }
-
-/// Problems below this size stay on the one-stage path: the chase and its
-/// reversed-rotation back-transform only pay for themselves once the
-/// trailing updates are big enough to run at level-3 GEMM rate.
-constexpr std::size_t kTwoStageMin = 160;
 
 /// Blocked full -> band reduction (bandwidth kBandWidth, lower-triangle
 /// convention). On return the band of `a` holds the banded matrix;
@@ -869,8 +608,10 @@ RealMatrix extract_band(RealMatrix& a, std::size_t b) {
 /// die off the bottom edge or on exact zeros, both data-dependent).
 /// On return `d`/`e` hold the tridiagonal matrix (e[i] couples rows
 /// i-1 and i, e[0] unused). Entirely serial: the rotation sequence is
-/// part of the bitwise-determinism contract.
-void band_to_tridiagonal(RealMatrix& band, std::size_t b,
+/// part of the bitwise-determinism contract. Kept out of line so its
+/// codegen, and with it every bit of the chase, does not depend on the
+/// caller (see the 2x2 block).
+[[gnu::noinline]] void band_to_tridiagonal(RealMatrix& band, std::size_t b,
                          std::vector<double>& d, std::vector<double>& e,
                          std::vector<GivensRotation>& log,
                          std::vector<std::uint32_t>& group_len,
@@ -912,10 +653,16 @@ void band_to_tridiagonal(RealMatrix& band, std::size_t b,
           double* entry = band.row(col) + (p1 - col);
           const double u = entry[0];
           const double l = entry[1];
-          entry[0] = c * u - s * l;
-          entry[1] = s * u + c * l;
+          // Explicit fma, as in the column-pair loop below: written as
+          // mul/sub + mul/add, this lane pair is the shape GCC 12 fuses
+          // into vfmaddsub despite -ffp-contract=off, in some inlining
+          // contexts only.
+          entry[0] = std::fma(c, u, -s * l);
+          entry[1] = std::fma(s, u, c * l);
         }
-        // The 2x2 diagonal block.
+        // The 2x2 diagonal block. Its first two entries form the same
+        // sub/add lane pair, fused when this function is inlined on
+        // AVX-512 builds; the noinline above pins the unfused codegen.
         {
           const double a11 = band(p1, 0);
           const double a21 = band(p1, 1);
@@ -1742,7 +1489,7 @@ void tridiag_dc(std::vector<double>& d, std::vector<double>& e,
 
 // ---------------------------------------------- partial tridiagonal stage
 //
-// The partial-spectrum path replaces the QL stage: bisection (Sturm
+// The partial-spectrum path replaces divide-and-conquer: bisection (Sturm
 // counts) finds the lowest m eigenvalues of the tridiagonal matrix, and
 // inverse iteration builds just those m eigenvectors. Both stages process
 // independent eigenvalue indices (clusters of close eigenvalues are one
@@ -1750,42 +1497,69 @@ void tridiag_dc(std::vector<double>& d, std::vector<double>& e,
 // fixed per-index operation order — bitwise identical for any thread
 // count, like every other stage of the solver.
 
-/// Number of eigenvalues of the tridiagonal matrix strictly below x, via
-/// the LDL^T Sturm recurrence. `d` is the diagonal, `e2[i]` the squared
-/// coupling of rows (i-1, i) (e2[0] unused); `pivmin` guards zero pivots
-/// (dstebz convention).
-std::size_t sturm_count_below(const std::vector<double>& d,
-                              const std::vector<double>& e2, double pivmin,
-                              double x) {
-  const std::size_t n = d.size();
-  std::size_t count = 0;
-  double q = d[0] - x;
-  if (q < 0.0) ++count;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (std::fabs(q) < pivmin) q = -pivmin;
-    q = d[i] - x - e2[i] / q;
-    if (q < 0.0) ++count;
-  }
-  return count;
-}
+/// Eigenvalues bisected together by bisect_eigenvalues().
+constexpr std::size_t kBisectLanes = 8;
 
-/// Bisects for eigenvalue `k` (0-based, ascending) inside [lo, hi], which
-/// must satisfy count(lo) <= k < count(hi). Runs to floating-point
-/// fixpoint (~60 halvings), so the result is determined by the matrix
-/// alone.
-double bisect_eigenvalue(const std::vector<double>& d,
-                         const std::vector<double>& e2, double pivmin,
-                         double lo, double hi, std::size_t k) {
+/// Bisects for eigenvalues k0 .. k0 + count - 1 (0-based, ascending;
+/// count <= kBisectLanes) inside [lo, hi], which must satisfy
+/// count(lo) <= k < count(hi) for each of them; results land in out.
+/// Each probe is a Sturm count - the number of eigenvalues below x from
+/// the LDL^T recurrence on the diagonal `d` and the squared couplings
+/// `e2` (e2[i] couples rows i-1 and i, e2[0] unused), with `pivmin`
+/// guarding zero pivots (dstebz convention). One count is a serial chain
+/// of divides, so the lanes advance in lockstep and their chains overlap
+/// instead of running back to back. Every lane runs to floating-point
+/// fixpoint (~60 halvings) with the arithmetic of a one-eigenvalue
+/// bisection, so each result is determined by the matrix alone - not by
+/// the batching or the thread count.
+void bisect_eigenvalues(const std::vector<double>& d,
+                        const std::vector<double>& e2, double pivmin,
+                        double lo, double hi, std::size_t k0,
+                        std::size_t count, double* out) {
+  const std::size_t n = d.size();
+  double l[kBisectLanes];
+  double h[kBisectLanes];
+  double x[kBisectLanes];
+  double q[kBisectLanes];
+  std::size_t below[kBisectLanes];
+  bool active[kBisectLanes];
+  for (std::size_t j = 0; j < kBisectLanes; ++j) {
+    l[j] = lo;
+    h[j] = hi;
+  }
   for (;;) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid <= lo || mid >= hi) break;  // interval shrunk to one ulp
-    if (sturm_count_below(d, e2, pivmin, mid) > k) {
-      hi = mid;
-    } else {
-      lo = mid;
+    bool any = false;
+    for (std::size_t j = 0; j < kBisectLanes; ++j) {
+      x[j] = 0.5 * (l[j] + h[j]);
+      // A lane stops once its interval has shrunk to one ulp.
+      active[j] = j < count && x[j] > l[j] && x[j] < h[j];
+      any = any || active[j];
+    }
+    if (!any) break;
+    for (std::size_t j = 0; j < kBisectLanes; ++j) {
+      q[j] = d[0] - x[j];
+      below[j] = q[j] < 0.0 ? 1 : 0;
+    }
+    for (std::size_t i = 1; i < n; ++i) {
+      const double di = d[i];
+      const double ei = e2[i];
+      for (std::size_t j = 0; j < kBisectLanes; ++j) {
+        const double qj = std::fabs(q[j]) < pivmin ? -pivmin : q[j];
+        q[j] = di - x[j] - ei / qj;
+        below[j] += q[j] < 0.0 ? 1 : 0;
+      }
+    }
+    for (std::size_t j = 0; j < kBisectLanes; ++j) {
+      if (!active[j]) continue;
+      if (below[j] > k0 + j) {
+        h[j] = x[j];
+      } else {
+        l[j] = x[j];
+      }
     }
   }
-  return hi;  // count(hi) > k: the k-th eigenvalue is at most hi
+  // count(h) > k: the k-th eigenvalue is at most h.
+  std::copy(h, h + count, out);
 }
 
 /// Solves (T - lambda I) x = b in place by Gaussian elimination with
@@ -1878,11 +1652,14 @@ void tridiag_lowest(const std::vector<double>& d, const std::vector<double>& e,
   hi += margin;
 
   eigenvalues.assign(m, 0.0);
-  parallel_for(0, m, eig_grain(64 * n),
-               [&](std::size_t klo, std::size_t khi) {
-                 for (std::size_t k = klo; k < khi; ++k) {
-                   eigenvalues[k] =
-                       bisect_eigenvalue(d, e2, pivmin, lo, hi, k);
+  const std::size_t batches = (m + kBisectLanes - 1) / kBisectLanes;
+  parallel_for(0, batches, eig_grain(64 * kBisectLanes * n),
+               [&](std::size_t blo, std::size_t bhi) {
+                 for (std::size_t bi = blo; bi < bhi; ++bi) {
+                   const std::size_t k0 = bi * kBisectLanes;
+                   bisect_eigenvalues(d, e2, pivmin, lo, hi, k0,
+                                      std::min(kBisectLanes, m - k0),
+                                      eigenvalues.data() + k0);
                  }
                });
 
@@ -1980,7 +1757,8 @@ void sort_eigenpairs(const std::vector<double>& d, const RealMatrix& z,
   result.eigenvectors = std::move(sorted);
 }
 
-/// Analytic SYEVD tally shared by both solvers (the syevd_cost formula).
+/// Analytic SYEVD tally shared by syevd and its reference (the
+/// syevd_cost formula).
 void count_syevd(std::size_t n, OpCount* count) {
   if (count == nullptr) return;
   const SyevdCost cost = syevd_cost(n);
@@ -2396,91 +2174,35 @@ void gemm_naive(const ComplexMatrix& a, const ComplexMatrix& b,
 
 namespace {
 
-/// One-stage solver body (blocked tridiagonalization + QL + compact WY),
-/// shared by the public wrappers; runs under their timer/trace scopes.
-EigenResult syevd_onestage_impl(const RealMatrix& symmetric,
-                                OpCount* count) {
-  const std::size_t n = symmetric.rows();
-  EigenResult result;
-  if (n == 0) return result;
-
-  RealMatrix reduced = symmetric;
-  std::vector<double> d;
-  std::vector<double> e;
+/// Stages 1-2 of the pipeline (full -> band -> tridiagonal) and
+/// everything stage 4 needs to undo them.
+struct TridiagonalReduction {
+  RealMatrix reflectors;  ///< band_reduce's reflectors, explicit unit heads
   std::vector<double> tau;
-  {
-    StageTimerScope stage(&LinalgStageTimes::reduce_ms);
-    blocked_tridiagonalize(reduced, d, e, tau);
-  }
-
-  // Eigenvectors of the tridiagonal matrix, accumulated transposed so the
-  // QL rotation sweeps touch contiguous rows.
-  RealMatrix zt(n, n);
-  for (std::size_t i = 0; i < n; ++i) zt(i, i) = 1.0;
-  {
-    StageTimerScope stage(&LinalgStageTimes::tridiag_ms);
-    tridiag_ql(d, e, zt);
-  }
-
-  RealMatrix z(n, n);
-  {
-    StageTimerScope stage(&LinalgStageTimes::backtransform_ms);
-    parallel_for(0, n, eig_grain(n),
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t r = lo; r < hi; ++r) {
-                     double* row = z.row(r);
-                     for (std::size_t c = 0; c < n; ++c) row[c] = zt(c, r);
-                   }
-                 });
-    apply_q_blocked(reduced, tau, z);
-  }
-
-  sort_eigenpairs(d, z, result);
-  count_syevd(n, count);
-  return result;
-}
-
-/// Two-stage solver body: full -> band -> tridiagonal, divide-and-conquer
-/// on the tridiagonal matrix, then the reversed chase rotations and the
-/// offset-b compact-WY panels bring the eigenvectors back.
-EigenResult syevd_twostage_impl(const RealMatrix& symmetric,
-                                OpCount* count) {
-  const std::size_t n = symmetric.rows();
-  EigenResult result;
-  if (n == 0) return result;
-
-  RealMatrix reduced = symmetric;
-  std::vector<double> d;
-  std::vector<double> e;
-  std::vector<double> tau;
+  std::vector<double> d;  ///< diagonal
+  std::vector<double> e;  ///< e[i] couples rows i-1 and i, e[0] unused
   std::vector<GivensRotation> chase_log;
   std::vector<std::uint32_t> chase_groups;
   std::vector<std::uint32_t> chase_j_groups;
-  {
-    StageTimerScope stage(&LinalgStageTimes::reduce_ms);
-    band_reduce(reduced, tau);
-    RealMatrix band = extract_band(reduced, band_width(n));
-    band_to_tridiagonal(band, band_width(n), d, e, chase_log, chase_groups,
-                        chase_j_groups);
-  }
+};
 
-  RealMatrix s;
-  {
-    StageTimerScope stage(&LinalgStageTimes::tridiag_ms);
-    tridiag_dc(d, e, s);  // d ascending, columns of s pair with d
-  }
+TridiagonalReduction reduce_to_tridiagonal(const RealMatrix& symmetric) {
+  const std::size_t b = band_width(symmetric.rows());
+  TridiagonalReduction r;
+  r.reflectors = symmetric;
+  band_reduce(r.reflectors, r.tau);
+  RealMatrix band = extract_band(r.reflectors, b);
+  band_to_tridiagonal(band, b, r.d, r.e, r.chase_log, r.chase_groups,
+                      r.chase_j_groups);
+  return r;
+}
 
-  {
-    StageTimerScope stage(&LinalgStageTimes::backtransform_ms);
-    apply_chase_rotations(chase_log, chase_groups, chase_j_groups,
-                          s);                 // s <- Q2 s
-    apply_q_panels(reduced, tau, s, band_width(n));  // s <- Q1 s
-  }
-
-  result.eigenvalues = std::move(d);
-  result.eigenvectors = std::move(s);
-  count_syevd(n, count);
-  return result;
+/// z <- Q z for tridiagonal eigenvectors stored as the columns of z (any
+/// column count): the reversed chase rotations (Q2), then the band
+/// reduction's compact-WY panels (Q1). O(n^2) per column.
+void back_transform(const TridiagonalReduction& r, RealMatrix& z) {
+  apply_chase_rotations(r.chase_log, r.chase_groups, r.chase_j_groups, z);
+  apply_q_panels(r.reflectors, r.tau, z, band_width(z.rows()));
 }
 
 }  // namespace
@@ -2497,25 +2219,27 @@ EigenResult syevd(const RealMatrix& symmetric, OpCount* count) {
     trace.set_work(cost.flops, cost.bytes);
   }
   trace.set_io(n * n * sizeof(double), (n * n + n) * sizeof(double));
-  if (n < kTwoStageMin) {
-    return syevd_onestage_impl(symmetric, count);
-  }
-  return syevd_twostage_impl(symmetric, count);
-}
+  EigenResult result;
+  if (n == 0) return result;
 
-EigenResult syevd_onestage(const RealMatrix& symmetric, OpCount* count) {
-  LinalgTimerScope timer;
-  KernelTimer trace(KernelClass::kSyevd, "syevd.onestage");
-  NDFT_REQUIRE(symmetric.rows() == symmetric.cols(),
-               "syevd_onestage: matrix must be square");
-  const std::size_t n = symmetric.rows();
-  trace.set_dims(n, n, 0);
+  TridiagonalReduction reduction;
   {
-    const SyevdCost cost = syevd_cost(n);
-    trace.set_work(cost.flops, cost.bytes);
+    StageTimerScope stage(&LinalgStageTimes::reduce_ms);
+    reduction = reduce_to_tridiagonal(symmetric);
   }
-  trace.set_io(n * n * sizeof(double), (n * n + n) * sizeof(double));
-  return syevd_onestage_impl(symmetric, count);
+  RealMatrix s;
+  {
+    StageTimerScope stage(&LinalgStageTimes::tridiag_ms);
+    tridiag_dc(reduction.d, reduction.e, s);  // column j of s pairs with d[j]
+  }
+  {
+    StageTimerScope stage(&LinalgStageTimes::backtransform_ms);
+    back_transform(reduction, s);
+  }
+  result.eigenvalues = std::move(reduction.d);
+  result.eigenvectors = std::move(s);
+  count_syevd(n, count);
+  return result;
 }
 
 EigenResult syevd_naive(const RealMatrix& symmetric, OpCount* count) {
@@ -2581,31 +2305,28 @@ EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
   }
 
   if (2 * m > n) {
-    // The QL/back-transform savings vanish near the full spectrum; the
-    // full blocked solver is both faster and more robust there. Nested
-    // timer/trace entries fold into this one.
+    // The inverse-iteration and m-column back-transform savings vanish
+    // near the full spectrum; divide-and-conquer is both faster and more
+    // robust there. Nested timer/trace entries fold into this one.
     return partial_from_full(symmetric, m, count);
   }
 
   try {
-    RealMatrix reduced = symmetric;
-    std::vector<double> d;
-    std::vector<double> e;
-    std::vector<double> tau;
+    TridiagonalReduction reduction;
     {
       StageTimerScope stage(&LinalgStageTimes::reduce_ms);
-      blocked_tridiagonalize(reduced, d, e, tau);
+      reduction = reduce_to_tridiagonal(symmetric);
     }
 
     EigenResult result;
     RealMatrix vt;  // tridiagonal eigenvectors, one per row
     {
       StageTimerScope stage(&LinalgStageTimes::tridiag_ms);
-      tridiag_lowest(d, e, m, result.eigenvalues, vt);
+      tridiag_lowest(reduction.d, reduction.e, m, result.eigenvalues, vt);
     }
 
     // Assemble the n x m eigenvector block and push it through the same
-    // compact-WY panels as the full solver — O(n^2 m) instead of O(n^3).
+    // back-transform as the full solver - O(n^2 m) instead of O(n^3).
     RealMatrix z(n, m);
     {
       StageTimerScope stage(&LinalgStageTimes::backtransform_ms);
@@ -2616,7 +2337,7 @@ EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
                        for (std::size_t c = 0; c < m; ++c) row[c] = vt(c, r);
                      }
                    });
-      apply_q_blocked(reduced, tau, z);
+      back_transform(reduction, z);
     }
     result.eigenvectors = std::move(z);
 
@@ -2637,8 +2358,10 @@ EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
 SyevdCost syevd_partial_cost(std::size_t n, std::size_t m) noexcept {
   if (2 * m > n) return syevd_cost(n);
   const auto nn = static_cast<Flops>(n) * n;
-  // Reduction (~4/3 n^3), WY back-transform (~2 n^2 m), bisection +
-  // inverse iteration (~60 Sturm sweeps and a few O(n) solves per pair).
+  // Reduction ~4/3 n^3, an approximation of the band reduction + chase
+  // (the Engine queue estimate and trace calibration are priced on it);
+  // back-transform ~2 n^2 m; bisection + inverse iteration ~60 Sturm
+  // sweeps and a few O(n) solves per pair.
   return {nn * n * 4 / 3 + 2 * nn * m + 400ull * n * m,
           (2 * nn + 2 * static_cast<Bytes>(n) * m) * sizeof(double)};
 }

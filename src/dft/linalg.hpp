@@ -2,25 +2,23 @@
 // Dense linear algebra kernels: blocked GEMM and symmetric/Hermitian
 // eigensolvers (the paper's SYEVD), implemented from scratch.
 //
-// The production eigensolver (`syevd`) dispatches by size between two
-// complete paths:
+// Every symmetric eigensolve, full (`syevd`) or partial (`syevd_partial`),
+// runs one pipeline at every size:
 //
-//  * One-stage (small n, and public as `syevd_onestage`): blocked
-//    Householder panel reduction straight to tridiagonal form with the
-//    trailing-matrix rank-2k updates expressed as GEMM on the blocked
-//    kernel, implicit-shift QL on the tridiagonal matrix with the Givens
-//    rotations applied in pool-parallel contiguous sweeps, and a
-//    compact-WY GEMM back-transformation.
-//  * Two-stage + divide-and-conquer (large n): full -> band reduction via
-//    blocked QR panels whose two-sided trailing updates are pure level-3
-//    GEMM, band -> tridiagonal via Givens bulge chasing (the rotations are
-//    logged), then a Cuppen divide-and-conquer tridiagonal eigensolver
-//    (secular-equation roots with dlaed2-style deflation, merges
-//    back-multiplied as GEMMs). Eigenvectors come back through the
-//    reversed rotation log and the same compact-WY GEMMs.
+//  1. full -> band reduction via blocked QR panels whose two-sided
+//     trailing updates are pure level-3 GEMM;
+//  2. band -> tridiagonal via Givens bulge chasing (the rotations are
+//     logged);
+//  3. the tridiagonal eigensolve: Cuppen divide-and-conquer for the full
+//     spectrum (secular-equation roots with dlaed2-style deflation,
+//     merges back-multiplied as GEMMs), or bisection + inverse iteration
+//     for the lowest m pairs;
+//  4. the back-transform: the reversed rotation log, then the band
+//     reduction's reflectors as compact-WY GEMMs, over the n x n or
+//     n x m eigenvector block.
 //
 // The serial EISPACK-lineage tred2/tql2 pair is kept as `syevd_naive`,
-// the reference both production paths are tested and benchmarked against.
+// the oracle the pipeline is tested and benchmarked against.
 // Complex Hermitian problems are solved through the standard real
 // embedding [[A, -B], [B, A]], so they ride the blocked real path too;
 // large complex GEMMs are computed with a 3M split (three real products
@@ -96,23 +94,13 @@ struct EigenResult {
 };
 
 /// Solves the full eigenproblem of a real symmetric matrix (SYEVD). This
-/// is the production entry point every physics consumer goes through. It
-/// dispatches by size: small problems run the one-stage path (blocked
-/// Householder tridiagonalization, pool-parallel QL rotation sweeps,
-/// compact-WY GEMM back-transformation), large problems the two-stage
-/// band reduction + bulge chase + divide-and-conquer path, whose trailing
-/// updates and merge back-multiplications are level-3 GEMM. Results are
-/// bitwise identical for any thread count. Throws NdftError if the matrix
-/// is not square or an iteration fails to converge (pathological input).
+/// is the production entry point every physics consumer goes through:
+/// band reduction + bulge chase + divide-and-conquer + back-transform
+/// (the overview above), whose trailing updates and merge
+/// back-multiplications are level-3 GEMM. Results are bitwise identical
+/// for any thread count. Throws NdftError if the matrix is not square or
+/// an iteration fails to converge (pathological input).
 EigenResult syevd(const RealMatrix& symmetric, OpCount* count = nullptr);
-
-/// The one-stage path (blocked tridiagonalization + QL + compact WY),
-/// callable directly regardless of size. Kept public as the regression
-/// baseline the two-stage solver is benchmarked and gated against; small
-/// `syevd` calls dispatch here. Same semantics and OpCount accounting as
-/// syevd().
-EigenResult syevd_onestage(const RealMatrix& symmetric,
-                           OpCount* count = nullptr);
 
 /// Serial reference solver (EISPACK tred2/tql2 lineage), kept as the
 /// ground truth `syevd` is validated and benchmarked against. Same
@@ -121,24 +109,27 @@ EigenResult syevd_naive(const RealMatrix& symmetric,
                         OpCount* count = nullptr);
 
 /// Analytic cost tally of a partial eigensolve returning the lowest `m`
-/// pairs: the full reduction (~(4/3)n^3) survives, but the QL rotations
-/// and the back-transformation shrink to O(n^2 m). Collapses to
-/// syevd_cost(n) in the regime where syevd_partial() delegates to the
-/// full solver.
+/// pairs: the full reduction survives (approximated as ~(4/3)n^3), but
+/// the tridiagonal stage and the back-transformation shrink to O(n^2 m).
+/// Collapses to syevd_cost(n) in the regime where syevd_partial()
+/// delegates to the full solver.
 SyevdCost syevd_partial_cost(std::size_t n, std::size_t m) noexcept;
 
 /// Solves for the lowest `m` eigenpairs of a real symmetric matrix
-/// (1 <= m <= n). Reuses the blocked Householder reduction, then replaces
-/// the full-spectrum QL stage with bisection (Sturm counts on the
+/// (1 <= m <= n). Runs syevd()'s band reduction and bulge chase, then
+/// replaces divide-and-conquer with bisection (Sturm counts on the
 /// tridiagonal matrix) plus inverse iteration for just those `m` vectors,
-/// which are back-transformed through the compact-WY GEMMs restricted to
-/// m columns — O(n^2 m) after the reduction instead of O(n^3). When
-/// 2m > n the savings vanish and the call delegates to syevd(),
-/// truncated to m pairs, so callers can request any window. Eigenvalues
-/// match the full solver to ~n*eps*||A||; eigenvectors match to sign
-/// within nondegenerate multiplets (clustered eigenvalues are
-/// re-orthogonalised, spanning the same invariant subspace). Results are
-/// bitwise identical for any thread count.
+/// which go back through the reversed chase rotations and the compact-WY
+/// GEMMs restricted to m columns — O(n^2 m) after the reduction instead
+/// of O(n^3). When 2m > n the savings vanish and the call delegates to
+/// syevd(), truncated to m pairs, so callers can request any window; an
+/// injected `solver.syevd_partial` fault or a problem the inverse
+/// iteration rejects takes the same route, noted as the degradation
+/// `syevd_partial:full_fallback`. Eigenvalues match the full solver to
+/// ~n*eps*||A||; eigenvectors match to sign within nondegenerate
+/// multiplets (clustered eigenvalues are re-orthogonalised, spanning the
+/// same invariant subspace). Results are bitwise identical for any
+/// thread count.
 EigenResult syevd_partial(const RealMatrix& symmetric, std::size_t m,
                           OpCount* count = nullptr);
 
@@ -166,9 +157,9 @@ void linalg_timer_reset() noexcept;
 double linalg_timer_ms() noexcept;
 
 /// Per-stage wall-clock split of the eigensolver time: the reduction to
-/// tridiagonal form (one-stage Householder, or band reduction + bulge
-/// chase), the tridiagonal eigensolve (QL, divide-and-conquer, or
-/// bisection), and the eigenvector back-transformations (reversed
+/// tridiagonal form (band reduction + bulge chase), the tridiagonal
+/// eigensolve (divide-and-conquer, or bisection + inverse iteration for
+/// partial solves), and the eigenvector back-transformation (reversed
 /// rotation log + compact-WY GEMMs). The three buckets are disjoint
 /// sub-spans of `linalg_timer_ms`, so they add up to at most the total.
 struct LinalgStageTimes {

@@ -293,31 +293,6 @@ TEST(Fft3dTest, OpCountAccumulates) {
   EXPECT_EQ(count.flops, fft_flops(512));
   // Fused X+Y sweep + Z sweep: 4 grid traversals.
   EXPECT_EQ(count.bytes, 4u * 512 * sizeof(Complex));
-  OpCount unfused_count;
-  Grid3 grid2(8, 8, 8);
-  fft3d_unfused(grid2, FftDirection::kForward, &unfused_count);
-  EXPECT_EQ(unfused_count.flops, fft_flops(512));
-  EXPECT_EQ(unfused_count.bytes, 6u * 512 * sizeof(Complex));
-}
-
-TEST(Fft3dTest, FusedMatchesUnfusedBitwise) {
-  // The fused X+Y slab pass performs the exact per-line operations of the
-  // separate passes, in the same per-element order, so the two transforms
-  // must agree bitwise — including on non-friendly (Bluestein) lengths.
-  for (const auto& dims : {std::array<std::size_t, 3>{32, 32, 32},
-                           std::array<std::size_t, 3>{12, 10, 7}}) {
-    Grid3 fused(dims[0], dims[1], dims[2]);
-    Prng prng(77);
-    for (std::size_t i = 0; i < fused.size(); ++i) {
-      fused[i] = Complex{prng.next_double(-1, 1), prng.next_double(-1, 1)};
-    }
-    Grid3 unfused = fused;
-    fft3d(fused, FftDirection::kForward);
-    fft3d_unfused(unfused, FftDirection::kForward);
-    for (std::size_t i = 0; i < fused.size(); ++i) {
-      ASSERT_EQ(fused[i], unfused[i]) << "index " << i;
-    }
-  }
 }
 
 TEST(Fft3dTest, FusedDeterministicAcrossThreadCounts) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <utility>
 
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
@@ -365,10 +366,10 @@ TEST(SyevdTest, RejectsNonSquare) {
   EXPECT_THROW(syevd_naive(m), NdftError);
 }
 
-// Property sweep for the blocked solver: residual, orthonormality,
-// ascending order and agreement with the serial reference across sizes
-// chosen around the panel width (kEigBlock = 32): below the block, at the
-// block, one off either side, non-multiples, and multi-panel sizes.
+// Property sweep for syevd: residual, orthonormality, ascending order and
+// agreement with the serial reference across small sizes: below the
+// n = 48 band width (the whole matrix is the band and only the chase
+// runs), at and around it, non-multiples, and multi-panel sizes.
 class SyevdPropertyTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SyevdPropertyTest, ResidualOrthogonalityOrderAndNaiveAgreement) {
@@ -406,11 +407,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SyevdPropertyTest,
                                            50, 64, 70, 97, 128, 130));
 
 TEST(SyevdTest, DeterministicAcrossThreadCounts) {
-  // The reduction's GEMM updates, the QL rotation sweeps and the WY
-  // back-transformation all split work across the pool; eigenvalues AND
-  // eigenvectors must stay bitwise identical for any thread count. Large
-  // enough to engage every parallel path (multiple panels, rotation
-  // sweeps above the serial grain).
+  // The reduction's GEMM updates, the D&C merges and the back-transform
+  // all split work across the pool; eigenvalues AND eigenvectors must
+  // stay bitwise identical for any thread count. Large enough to engage
+  // every parallel path (multiple panels, rotation replay above the
+  // serial grain).
   const std::size_t n = 200;
   const RealMatrix m = random_symmetric(n, 77);
 
@@ -439,10 +440,9 @@ TEST(SyevdTest, DeterministicAcrossThreadCounts) {
   }
 }
 
-// Two-stage + divide-and-conquer sweep. These sizes all sit above the
-// dispatch threshold, bracketing the band width / panel edges (multiples
-// of 32 and their neighbours), so the band reduction's short tail panel,
-// the chase and the D&C merge tree all get exercised. Matrices are
+// Mid-size syevd sweep, bracketing panel edges (multiples of 32 and
+// their neighbours), so the band reduction's short tail panel, the chase
+// and a multi-level D&C merge tree all get exercised. Matrices are
 // scaled to O(1/sqrt(n)) spectra so the 1e-13 naive-agreement bound is
 // absolute.
 class SyevdTwoStagePropertyTest
@@ -474,12 +474,6 @@ TEST_P(SyevdTwoStagePropertyTest, ResidualOrthogonalityAndNaiveAgreement) {
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(result.eigenvalues[i], reference.eigenvalues[i], 1e-13)
         << "eigenvalue " << i << " of " << n;
-  }
-  // The one-stage path solves the same problem; the two paths must agree
-  // to the same tolerance (they are gated against each other in bench).
-  const EigenResult onestage = syevd_onestage(m);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(result.eigenvalues[i], onestage.eigenvalues[i], 1e-13);
   }
 }
 
@@ -562,8 +556,8 @@ TEST(SyevdTwoStageTest, ClusteredSpectrumExercisesDeflation) {
 }
 
 TEST(SyevdTwoStageTest, DeterministicAcrossThreadCounts) {
-  // Same contract as the one-stage determinism test, but sized to engage
-  // the two-stage path: band-reduction GEMM panels, the serial chase, the
+  // Same contract as SyevdTest.DeterministicAcrossThreadCounts on a
+  // second matrix: band-reduction GEMM panels, the serial chase, the
   // pool-parallel secular solves and the reversed rotation replay must
   // all be bitwise identical for any pool width.
   const std::size_t n = 224;
@@ -594,9 +588,10 @@ TEST(SyevdTwoStageTest, DeterministicAcrossThreadCounts) {
 
 // Partial-spectrum sweep: the lowest-m path must agree with the full
 // solver on eigenvalues (to ~n*eps*||A||) and eigenvectors (to sign),
-// stay orthonormal, and keep a small residual. Sizes bracket the panel
-// width (kEigBlock = 32) like the full sweep; m spans the bisection
-// regime (2m <= n) and the delegating regime (2m > n).
+// stay orthonormal, and keep a small residual. Sizes run from matrices
+// narrower than the band (b = 48 below n = 384) to past n = 384, where
+// the band widens to b = 64; m spans the bisection regime (2m <= n) and
+// the delegating regime (2m > n).
 class SyevdPartialTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
 };
@@ -658,7 +653,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(32, 8), std::make_tuple(33, 16),
                       std::make_tuple(50, 50), std::make_tuple(64, 8),
                       std::make_tuple(70, 40), std::make_tuple(97, 12),
-                      std::make_tuple(128, 16), std::make_tuple(130, 64)));
+                      std::make_tuple(128, 16), std::make_tuple(130, 64),
+                      std::make_tuple(385, 48), std::make_tuple(400, 50)));
 
 TEST(SyevdPartialTest, DegenerateClusterSpansTheSameSubspace) {
   // A matrix with an exactly threefold-degenerate lowest eigenvalue (the
@@ -720,31 +716,34 @@ TEST(SyevdPartialTest, DegenerateClusterSpansTheSameSubspace) {
 }
 
 TEST(SyevdPartialTest, DeterministicAcrossThreadCounts) {
-  // Reduction GEMMs, bisection, per-cluster inverse iteration and the WY
+  // Reduction GEMMs, bisection, per-cluster inverse iteration and the
   // back-transform all split across the pool; eigenvalues AND
-  // eigenvectors must stay bitwise identical for any thread count.
-  const std::size_t n = 200;
-  const std::size_t m = 48;
-  const RealMatrix matrix = random_symmetric(n, 88);
+  // eigenvectors must stay bitwise identical for any thread count. Two
+  // shapes: one per band width (48 below n = 384, 64 from it on).
+  for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{200, 48},
+                            std::pair<std::size_t, std::size_t>{400, 50}}) {
+    const RealMatrix matrix = random_symmetric(n, 88);
 
-  ThreadPool& pool = ThreadPool::instance();
-  const std::size_t original_threads = pool.threads();
-  std::vector<EigenResult> results;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    pool.resize(threads);
-    results.push_back(syevd_partial(matrix, m));
-  }
-  pool.resize(original_threads);
+    ThreadPool& pool = ThreadPool::instance();
+    const std::size_t original_threads = pool.threads();
+    std::vector<EigenResult> results;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      pool.resize(threads);
+      results.push_back(syevd_partial(matrix, m));
+    }
+    pool.resize(original_threads);
 
-  for (std::size_t t = 1; t < results.size(); ++t) {
-    for (std::size_t k = 0; k < m; ++k) {
-      ASSERT_EQ(results[0].eigenvalues[k], results[t].eigenvalues[k])
-          << "eigenvalue " << k << " at thread variant " << t;
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(results[0].eigenvectors(i, k),
-                  results[t].eigenvectors(i, k))
-            << "eigenvector element (" << i << ", " << k
-            << ") at thread variant " << t;
+    for (std::size_t t = 1; t < results.size(); ++t) {
+      for (std::size_t k = 0; k < m; ++k) {
+        ASSERT_EQ(results[0].eigenvalues[k], results[t].eigenvalues[k])
+            << "eigenvalue " << k << " at thread variant " << t << ", n="
+            << n;
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(results[0].eigenvectors(i, k),
+                    results[t].eigenvectors(i, k))
+              << "eigenvector element (" << i << ", " << k
+              << ") at thread variant " << t << ", n=" << n;
+        }
       }
     }
   }
