@@ -47,6 +47,10 @@ ScfPayload execute_scf(const ScfJob& job) {
   payload.grid_points = basis.fft_size();
   payload.converged = scf.converged;
   payload.iterations = scf.history.size();
+  payload.mixing_resets = scf.mixing_resets;
+  // The job still answers (status ok, so retries and shard merges treat
+  // it like any other result), but says visibly that it did not converge.
+  if (!scf.converged) note_degradation("scf:not_converged");
   if (!scf.history.empty()) {
     payload.total_energy_ha = scf.history.back().total_energy_ha;
     payload.gap_ev = scf.history.back().gap_ev;
@@ -967,6 +971,7 @@ JobResult Engine::execute(const JobRequest& request,
   }
   result.timings.backoff_ms = backoff_total_ms;
   if (!result.degraded.empty()) degraded_.fetch_add(1);
+  if (result.scf && !result.scf->converged) scf_not_converged_.fetch_add(1);
   return result;
 }
 

@@ -192,6 +192,11 @@ class Engine {
   std::uint64_t jobs_started() const noexcept { return exec_seq_; }
   /// Jobs that completed with at least one degradation note.
   std::uint64_t jobs_degraded() const noexcept { return degraded_; }
+  /// SCF jobs that returned with `converged == false` (each also carries
+  /// the `scf:not_converged` degradation tag).
+  std::uint64_t scf_not_converged() const noexcept {
+    return scf_not_converged_;
+  }
   /// Jobs waiting in the pending queue right now.
   std::size_t jobs_pending();
   /// Jobs currently executing on dispatcher (or drain) threads.
@@ -246,6 +251,7 @@ class Engine {
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> deadline_expired_{0};
   std::atomic<std::uint64_t> degraded_{0};
+  std::atomic<std::uint64_t> scf_not_converged_{0};
   /// True when the constructor installed a fault spec (and the
   /// destructor therefore clears the process-wide fault state).
   bool installed_faults_ = false;

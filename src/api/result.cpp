@@ -108,6 +108,7 @@ Json to_json(const ScfPayload& p) {
   j.set("gap_ev", p.gap_ev);
   j.set("final_residual", p.final_residual);
   j.set("electron_count", p.electron_count);
+  j.set("mixing_resets", p.mixing_resets);
   j.set("residual_history", doubles_to_json(p.residual_history));
   j.set("energy_history", doubles_to_json(p.energy_history));
   return j;
@@ -124,6 +125,9 @@ ScfPayload scf_from_json(const Json& j) {
   p.gap_ev = j.at("gap_ev").as_double();
   p.final_residual = j.at("final_residual").as_double();
   p.electron_count = j.at("electron_count").as_double();
+  if (const Json* resets = j.find("mixing_resets")) {
+    p.mixing_resets = resets->as_uint();
+  }
   p.residual_history = doubles_from_json(j.at("residual_history"));
   p.energy_history = doubles_from_json(j.at("energy_history"));
   return p;

@@ -103,6 +103,9 @@ struct ScfPayload {
   double gap_ev = 0.0;
   double final_residual = 0.0;
   double electron_count = 0.0;
+  /// Times the SCF residual-growth guard halved beta (additive in v1;
+  /// older documents deserialize to 0).
+  std::size_t mixing_resets = 0;
   /// Per-iteration (residual, total energy) history for convergence plots.
   std::vector<double> residual_history;
   std::vector<double> energy_history;

@@ -18,6 +18,12 @@ namespace {
 constexpr double kFourPi = 4.0 * std::numbers::pi;
 constexpr double kEvPerHa = 27.211386;
 constexpr double kDensityFloor = 1e-12;
+// Residual-growth guard: after this many consecutive iterations whose
+// residual exceeds the previous one, beta halves (down to kMinMixing, or
+// the configured beta if that is already smaller) and the Anderson
+// history is dropped.
+constexpr unsigned kGrowthStreak = 3;
+constexpr double kMinMixing = 0.05;
 
 /// Puts a real-coefficient orbital onto the FFT grid in real space with
 /// the sqrt(Nr/Omega) normalisation used throughout (sum_G |c|^2 = 1
@@ -218,6 +224,10 @@ ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
   // Previous iterate and residual for Anderson acceleration.
   std::vector<double> prev_density;
   std::vector<double> prev_residual;
+  // Running mixing factor and the residual-growth guard's state; beta
+  // stays config.mixing until the guard fires.
+  double beta = config.mixing;
+  unsigned growth_streak = 0;
 
   GroundState state;
   for (unsigned iteration = 0; iteration < config.max_iterations;
@@ -346,7 +356,20 @@ ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
     step.gap_ev =
         (state.energies_ha[valence] - state.energies_ha[valence - 1]) *
         kEvPerHa;
+    if (!result.history.empty() &&
+        residual > result.history.back().density_residual) {
+      ++growth_streak;
+    } else {
+      growth_streak = 0;
+    }
     result.history.push_back(step);
+    if (growth_streak >= kGrowthStreak) {
+      beta = std::max(0.5 * beta, std::min(config.mixing, kMinMixing));
+      prev_density.clear();
+      prev_residual.clear();
+      growth_streak = 0;
+      ++result.mixing_resets;
+    }
 
     // --- mixing update.
     std::vector<double> residual_vec(nr);
@@ -373,14 +396,14 @@ ScfResult solve_scf(const PlaneWaveBasis& basis, const ScfConfig& config) {
         prev_density[i] = result.density[i];
         prev_residual[i] = residual_vec[i];
         result.density[i] =
-            std::max(blended_n + config.mixing * blended_r, 0.0);
+            std::max(blended_n + beta * blended_r, 0.0);
       }
     } else {
       prev_density = result.density;
       prev_residual = residual_vec;
       for (std::size_t i = 0; i < nr; ++i) {
         result.density[i] = std::max(
-            result.density[i] + config.mixing * residual_vec[i], 0.0);
+            result.density[i] + beta * residual_vec[i], 0.0);
       }
     }
 

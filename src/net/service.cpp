@@ -299,6 +299,9 @@ HttpResponse Service::metrics() {
   counter("ndft_engine_jobs_degraded_total",
           "Jobs that completed with degradation notes.",
           engine_.jobs_degraded());
+  counter("ndft_engine_scf_not_converged_total",
+          "SCF jobs that returned without converging.",
+          engine_.scf_not_converged());
   gauge("ndft_engine_jobs_pending", "Jobs waiting in the engine queue.",
         engine_.jobs_pending());
   gauge("ndft_engine_jobs_running", "Jobs currently executing.",

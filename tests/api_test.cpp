@@ -245,6 +245,54 @@ TEST(JobResultJsonTest, AllJobKindsRoundTrip) {
   expect_round_trip(engine.run(plan));
 }
 
+TEST(JobResultJsonTest, ScfMixingResetsRoundTrip) {
+  // Linear mixing diverges at Si_16 until the residual-growth guard
+  // fires once; the count rides in the payload.
+  Engine engine(fast_config());
+  ScfJob job;
+  job.atoms = 16;
+  job.scf.scheme = dft::MixingScheme::kLinear;
+  const JobResult result = engine.run(job);
+  ASSERT_TRUE(result.ok()) << result.error_message;
+  ASSERT_TRUE(result.scf.has_value());
+  EXPECT_TRUE(result.scf->converged);
+  EXPECT_EQ(result.scf->mixing_resets, 1u);
+  expect_round_trip(result);
+  // The member is additive in v1: a document without it reads as 0.
+  std::string legacy = result.to_json().dump();
+  const std::string member = "\"mixing_resets\":1,";
+  const std::size_t at = legacy.find(member);
+  ASSERT_NE(at, std::string::npos);
+  legacy.erase(at, member.size());
+  const JobResult old = JobResult::from_json(Json::parse(legacy));
+  ASSERT_TRUE(old.scf.has_value());
+  EXPECT_EQ(old.scf->mixing_resets, 0u);
+}
+
+TEST(ScfJobTest, NonConvergenceIsTaggedAndCounted) {
+  Engine engine(fast_config());
+  ScfJob job;
+  job.scf.max_iterations = 2;
+  const JobResult result = engine.run(job);
+  // Still ok (retries and shard merges are unchanged), but visibly so.
+  ASSERT_TRUE(result.ok()) << result.error_message;
+  ASSERT_TRUE(result.scf.has_value());
+  EXPECT_FALSE(result.scf->converged);
+  EXPECT_EQ(result.degraded, std::vector<std::string>{"scf:not_converged"});
+  const JobResult rebuilt =
+      JobResult::from_json(Json::parse(result.to_json().dump()));
+  EXPECT_EQ(rebuilt.degraded, result.degraded);
+  EXPECT_EQ(engine.scf_not_converged(), 1u);
+  EXPECT_EQ(engine.jobs_degraded(), 1u);
+
+  // A converged job carries no tag and leaves the counter alone.
+  const JobResult converged = engine.run(ScfJob{});
+  ASSERT_TRUE(converged.ok()) << converged.error_message;
+  EXPECT_TRUE(converged.scf->converged);
+  EXPECT_TRUE(converged.degraded.empty());
+  EXPECT_EQ(engine.scf_not_converged(), 1u);
+}
+
 TEST(BandStructureJobTest, MonkhorstPackPrimitiveMatchesDirectSolve) {
   // The generalized job on the primitive cell must reproduce the direct
   // dft-layer computation exactly (same crystal, grid and window). The

@@ -72,6 +72,7 @@ TEST_F(ScfFixture, KeepsAGap) {
 
 TEST_F(ScfFixture, AndersonConvergesAtLeastAsFastAsLinear) {
   dft::ScfConfig linear;
+  linear.scheme = dft::MixingScheme::kLinear;
   linear.tolerance = 1e-6;
   linear.max_iterations = 60;
   const dft::ScfResult base = dft::solve_scf(basis, linear);

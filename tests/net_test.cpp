@@ -322,6 +322,26 @@ TEST(ServiceTest, HealthzAndMetricsAreServed) {
             0u);
   EXPECT_EQ(metric_value(metrics.body, "ndft_engine_pool_threads"),
             engine.pool_threads());
+  EXPECT_EQ(
+      metric_value(metrics.body, "ndft_engine_scf_not_converged_total"), 0u);
+}
+
+TEST(ServiceTest, UnconvergedScfIsCountedOnMetrics) {
+  Engine engine(fast_config());
+  Service service(engine, quiet_service());
+  api::ScfJob job;
+  job.scf.max_iterations = 2;
+  const HttpResponse posted = service.handle(make_request(
+      "POST", "/v1/jobs?wait_ms=60000",
+      api::job_request_to_json(job).dump()));
+  ASSERT_EQ(posted.status, 200) << posted.body;
+  const JobResult result = JobResult::from_json(Json::parse(posted.body));
+  EXPECT_EQ(result.degraded, std::vector<std::string>{"scf:not_converged"});
+  const HttpResponse metrics = service.handle(make_request("GET", "/metrics"));
+  EXPECT_EQ(
+      metric_value(metrics.body, "ndft_engine_scf_not_converged_total"), 1u);
+  EXPECT_EQ(metric_value(metrics.body, "ndft_engine_jobs_degraded_total"),
+            1u);
 }
 
 TEST(ServiceTest, JobLifecycleQueuedThenCancelled) {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 
+#include "common/thread_pool.hpp"
 #include "dft/basis.hpp"
 #include "dft/epm.hpp"
 #include "dft/lattice.hpp"
@@ -396,6 +398,7 @@ TEST(PhysicsGoldenTest, ScfSiliconTotalEnergyAndGap) {
   const Crystal crystal = Crystal::silicon_supercell(8);
   const PlaneWaveBasis basis(crystal, 2.0);
   ScfConfig config;
+  config.scheme = MixingScheme::kLinear;  // the pins below are linear's
   config.tolerance = 1e-6;
   config.max_iterations = 60;
   const ScfResult result = solve_scf(basis, config);
@@ -404,6 +407,19 @@ TEST(PhysicsGoldenTest, ScfSiliconTotalEnergyAndGap) {
   // EPM eigenvalue pins: 1e-5 Ha still catches any real solver change.
   EXPECT_NEAR(result.history.back().total_energy_ha, -3.075515232837, 1e-5);
   EXPECT_NEAR(result.history.back().gap_ev, 0.837089395823, 1e-4);
+}
+
+TEST(PhysicsGoldenTest, ScfSiliconDefaultMixerTotalEnergyAndGap) {
+  // Same cell and cutoff with the default (Anderson) mixer. Its fixed
+  // point agrees with linear mixing's to within the tolerance-limited
+  // window of the sibling pins above.
+  const Crystal crystal = Crystal::silicon_supercell(8);
+  const PlaneWaveBasis basis(crystal, 2.0);
+  const ScfResult result = solve_scf(basis);
+  ASSERT_TRUE(result.converged);
+  EXPECT_EQ(result.mixing_resets, 0u);
+  EXPECT_NEAR(result.history.back().total_energy_ha, -3.075524547689, 1e-5);
+  EXPECT_NEAR(result.history.back().gap_ev, 0.837118422699, 1e-4);
 }
 
 TEST(PhysicsGoldenTest, LrtddftSiliconLowestExcitation) {
@@ -429,6 +445,89 @@ TEST(PhysicsGoldenTest, LrtddftSiliconLowestExcitation) {
   // The Si_8 ground state is an n = 179 solve before and after; verified
   // bitwise identical for NDFT_NUM_THREADS in {1, 2, 8}.
   EXPECT_NEAR(result.lowest_ev(), 0.973380569424, 1e-5);
+}
+
+// --------------------------------------------- default SCF convergence
+//
+// The default ScfConfig (Anderson, beta = 0.35) at the job default cutoff
+// of 4.5 Ry. Linear mixing diverges at Si_16 and stalls at Si_32 here;
+// these pin that the default converges across the sizes the service and
+// benchmark run, and where it lands.
+
+constexpr double kJobEcutHa = 2.25;  // ScfJob's 4.5 Ry
+
+/// Default-config SCF of Si_atoms, computed once per size per process.
+const ScfResult& default_scf(std::size_t atoms) {
+  static std::map<std::size_t, ScfResult> cache;
+  auto it = cache.find(atoms);
+  if (it == cache.end()) {
+    const Crystal crystal = Crystal::silicon_supercell(atoms);
+    const PlaneWaveBasis basis(crystal, kJobEcutHa);
+    it = cache.emplace(atoms, solve_scf(basis)).first;
+  }
+  return it->second;
+}
+
+TEST(ScfDefaultMixerTest, ConvergesFromSi8ToSi32) {
+  for (const std::size_t atoms : {8u, 16u, 24u, 32u}) {
+    const ScfResult& result = default_scf(atoms);
+    EXPECT_TRUE(result.converged) << "Si_" << atoms;
+    EXPECT_LT(result.history.back().density_residual, 1e-6) << "Si_" << atoms;
+    // Well inside the 60-iteration cap, and the guard never had to act.
+    EXPECT_LE(result.history.size(), 20u) << "Si_" << atoms;
+    EXPECT_EQ(result.mixing_resets, 0u) << "Si_" << atoms;
+  }
+}
+
+TEST(ScfDefaultMixerTest, ConvergedEnergyGoldens) {
+  // Two-point Anderson endpoints at tolerance 1e-6. The tightly converged
+  // fixed point sits ~1.7e-4 Ha lower at Si_32, so these pin the mixer's
+  // path, not only the physics.
+  EXPECT_NEAR(default_scf(16).history.back().total_energy_ha, -6.51396301,
+              1e-6);
+  EXPECT_NEAR(default_scf(32).history.back().total_energy_ha, -13.42982656,
+              1e-6);
+}
+
+TEST(ScfDefaultMixerTest, GuardRescuesDivergingLinearSi16) {
+  // Unguarded, linear mixing at Si_16 passes through the converged
+  // plateau (residual ~3e-5 near iteration 16), then grows ~1.18x per
+  // iteration and blows up to E = -16.78 Ha unconverged. The
+  // residual-growth guard halves beta once and the run converges to the
+  // same ground state the default mixer finds.
+  const Crystal crystal = Crystal::silicon_supercell(16);
+  const PlaneWaveBasis basis(crystal, kJobEcutHa);
+  ScfConfig config;
+  config.scheme = MixingScheme::kLinear;
+  const ScfResult result = solve_scf(basis, config);
+  ASSERT_TRUE(result.converged);
+  EXPECT_EQ(result.mixing_resets, 1u);
+  EXPECT_NEAR(result.history.back().total_energy_ha,
+              default_scf(16).history.back().total_energy_ha, 5e-4);
+}
+
+TEST(ScfDefaultMixerTest, BitwiseIdenticalAcrossPoolWidths) {
+  const Crystal crystal = Crystal::silicon_supercell(16);
+  const PlaneWaveBasis basis(crystal, kJobEcutHa);
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t original = pool.threads();
+  std::vector<ScfResult> runs;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    pool.resize(threads);
+    runs.push_back(solve_scf(basis));
+  }
+  pool.resize(original);
+  for (std::size_t t = 1; t < runs.size(); ++t) {
+    ASSERT_EQ(runs[t].history.size(), runs[0].history.size());
+    EXPECT_EQ(runs[t].history.back().total_energy_ha,
+              runs[0].history.back().total_energy_ha)
+        << "thread variant " << t;
+    ASSERT_EQ(runs[t].density.size(), runs[0].density.size());
+    for (std::size_t i = 0; i < runs[0].density.size(); ++i) {
+      ASSERT_EQ(runs[t].density[i], runs[0].density[i])
+          << "grid point " << i << " thread variant " << t;
+    }
+  }
 }
 
 }  // namespace
