@@ -1,9 +1,10 @@
 // bench_sim_fabric: throughput of the port/connection event fabric.
 // Simulates one LR-TDDFT iteration on machines of 1 / 4 / 16 stacks
 // (mesh 1x1 / 2x2 / 4x4, described through "ndft.machine.v1" documents)
-// and reports simulated picoseconds, wall time and fabric events per
-// wall second — the cross-commit scaling record for the credit-based
-// simulator. Results go to BENCH_sim.json.
+// and reports simulated picoseconds, wall time, fabric events per wall
+// second and host nanoseconds per executed simulator event — the
+// cross-commit scaling record for the credit-based simulator. Results go
+// to BENCH_sim.json.
 //
 // Modes:
 //   bench_sim_fabric           full sweep at atoms=32
@@ -13,6 +14,7 @@
 //                              verify.sh --bench-smoke gate)
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -38,6 +40,8 @@ struct FabricRun {
   double wall_ms = 0.0;
   double events = 0.0;        ///< fabric messages + DRAM commands
   double events_per_sec = 0.0;
+  std::uint64_t queue_events = 0;  ///< EventQueue events executed
+  double ns_per_event = 0.0;       ///< host wall time per queue event
   std::string payload;        ///< SimulatePayload JSON (bitwise record)
 };
 
@@ -81,6 +85,11 @@ FabricRun run_machine(unsigned width, std::size_t atoms) {
   }
   run.events_per_sec =
       run.wall_ms > 0.0 ? run.events / (run.wall_ms * 1e-3) : 0.0;
+  run.queue_events = result.simulate->events;
+  run.ns_per_event =
+      run.queue_events > 0
+          ? run.wall_ms * 1e6 / static_cast<double>(run.queue_events)
+          : 0.0;
   const Json result_json = result.to_json();
   run.payload = result_json.at("payload").dump();
   return run;
@@ -119,7 +128,8 @@ int main(int argc, char** argv) try {
   }
 
   TextTable table({"mesh", "stacks", "simulated_ps", "wall_ms",
-                   "fabric events", "events/s"});
+                   "fabric events", "events/s", "queue events",
+                   "ns/event"});
   for (const FabricRun& run : runs) {
     table.add_row({strformat("%ux%u", run.mesh, run.mesh),
                    strformat("%zu", run.stacks),
@@ -128,7 +138,10 @@ int main(int argc, char** argv) try {
                                  run.simulated_ps)),
                    strformat("%.1f", run.wall_ms),
                    strformat("%.0f", run.events),
-                   strformat("%.3g", run.events_per_sec)});
+                   strformat("%.3g", run.events_per_sec),
+                   strformat("%llu", static_cast<unsigned long long>(
+                                         run.queue_events)),
+                   strformat("%.1f", run.ns_per_event)});
   }
   std::printf("%s\n", table.render().c_str());
 
@@ -145,6 +158,8 @@ int main(int argc, char** argv) try {
     entry.set("wall_ms", run.wall_ms);
     entry.set("events", run.events);
     entry.set("events_per_sec", run.events_per_sec);
+    entry.set("queue_events", run.queue_events);
+    entry.set("ns_per_event", run.ns_per_event);
     entries.push_back(std::move(entry));
   }
   bench.set("runs", std::move(entries));
@@ -161,7 +176,8 @@ int main(int argc, char** argv) try {
   }
   if (smoke) {
     for (const FabricRun& run : runs) {
-      if (run.simulated_ps == 0 || run.events <= 0.0) {
+      if (run.simulated_ps == 0 || run.events <= 0.0 ||
+          run.queue_events == 0) {
         std::fprintf(stderr, "sim_fabric: %ux%u mesh produced no work\n",
                      run.mesh, run.mesh);
         return 1;

@@ -29,7 +29,9 @@
 #                  bitwise).
 #   --sanitize     additionally build an ASan+UBSan tree (build-asan,
 #                  -DNDFT_SANITIZE=ON) and run the api and robust tiers
-#                  under it; any sanitizer report fails the gate.
+#                  plus the simulator event-core tests (sim, fabric,
+#                  cache, mem, noc: the inline-storage callbacks live
+#                  there) under it; any sanitizer report fails the gate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -114,11 +116,14 @@ fi
 
 if [ "$SANITIZE" -eq 1 ]; then
   # Instrumented pass over the tiers that exercise concurrency, fault
-  # paths and cancellation races; -fno-sanitize-recover=all makes any
-  # report fail the run.
+  # paths, cancellation races and the simulator's callback storage;
+  # -fno-sanitize-recover=all makes any report fail the run.
   SAN_DIR="build-asan"
   cmake -B "$SAN_DIR" -S . -DNDFT_SANITIZE=ON
   cmake --build "$SAN_DIR" -j "$JOBS"
   ctest --test-dir "$SAN_DIR" -L 'api|robust' --output-on-failure -j "$JOBS"
-  echo "sanitize (api|robust): OK ($SAN_DIR)"
+  # The simulator's placement-new callback storage and slot recycling.
+  ctest --test-dir "$SAN_DIR" -R '^(sim|fabric|cache|mem|noc)_test$' \
+    --output-on-failure -j "$JOBS"
+  echo "sanitize (api|robust + sim event core): OK ($SAN_DIR)"
 fi

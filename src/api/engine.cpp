@@ -209,6 +209,7 @@ SimulatePayload simulate_payload_from(const core::RunReport& report) {
   payload.pseudo_capacity = report.pseudo.capacity;
   payload.pseudo_oom = report.pseudo.out_of_memory();
   payload.stats = report.stats;
+  payload.events = report.events;
   return payload;
 }
 
@@ -474,13 +475,10 @@ TimePs price_workload(const runtime::Sca& sca, const dft::Workload& w) {
   return total;
 }
 
-/// Submission-time cost estimate keying the priority queue: the CPU-side
-/// SCA estimate of the job's dominant kernels (the analytic workload
-/// model where it applies, measured time for trace replays). Only the
-/// relative magnitudes matter — a wrong estimate reorders the queue but
-/// cannot break it. Plan jobs are effectively free and drain first.
-TimePs estimate_cost_ps(const JobRequest& request,
-                        const core::SystemConfig& config) noexcept {
+}  // namespace
+
+TimePs Engine::estimate_cost_ps(const JobRequest& request,
+                                const core::SystemConfig& config) noexcept {
   // The estimator runs at submit(), BEFORE validation, so request fields
   // may be arbitrary garbage. Cutoffs outside this sane window would
   // push the closed-form basis sizes past the double->size_t cast range
@@ -503,9 +501,12 @@ TimePs estimate_cost_ps(const JobRequest& request,
       const TimePs fft = price_event(
           sca, KernelClass::kFft, dft::fft_flops(dims.grid_points),
           4ull * dims.grid_points * sizeof(dft::Complex), dims.grid_points);
-      return job->scf.max_iterations *
-             (price_syevd(sca, dims.basis_size) +
-              (2 * job->atoms + 3) * fft);
+      // Priced at the iterations the default mixer actually runs, not
+      // the cap it almost never reaches.
+      const unsigned iterations =
+          std::min(job->scf.max_iterations, kTypicalScfIterations);
+      return iterations * (price_syevd(sca, dims.basis_size) +
+                           (2 * job->atoms + 3) * fft);
     }
     if (const auto* job = std::get_if<BandStructureJob>(&request)) {
       if (!sane_ecut(job->ecut_ry) || !sane_atoms(job->atoms)) return 0;
@@ -573,8 +574,6 @@ TimePs estimate_cost_ps(const JobRequest& request,
   }
   return 0;  // PlanJob and anything unpriceable: effectively free
 }
-
-}  // namespace
 
 // -------------------------------------------------------------- JobHandle
 

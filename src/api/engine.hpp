@@ -171,6 +171,21 @@ class Engine {
   /// dispatch_threads == 0 the calling thread executes the queue itself.
   void drain();
 
+  /// Iterations an ScfJob is priced at when its cap is higher: the default
+  /// two-point Anderson mixer converges Si_8 through Si_64 at 4.5 Ry in
+  /// 14-17 iterations, far below the default cap of 60.
+  static constexpr unsigned kTypicalScfIterations = 17;
+
+  /// Submission-time cost estimate keying the priority queue: the CPU-side
+  /// SCA estimate of the job's dominant kernels (the analytic workload
+  /// model where it applies, measured time for trace replays). An ScfJob
+  /// costs min(max_iterations, kTypicalScfIterations) iterations. Only the
+  /// relative magnitudes matter — a wrong estimate reorders the queue but
+  /// cannot break it. Plan jobs are effectively free and drain first.
+  /// Never throws; garbage requests price at 0.
+  static TimePs estimate_cost_ps(const JobRequest& request,
+                                 const core::SystemConfig& config) noexcept;
+
   // ---- shared-resource views / engine metadata.
   const core::SystemConfig& system_config() const noexcept;
   const core::NdftSystem& system() const noexcept { return system_; }

@@ -305,6 +305,7 @@ Json to_json(const SimulatePayload& p) {
     for (const auto& [name, value] : p.stats) stats.set(name, value);
     j.set("stats", std::move(stats));
   }
+  if (p.events != 0) j.set("events", p.events);
   return j;
 }
 
@@ -338,6 +339,7 @@ SimulatePayload simulate_from_json(const Json& j) {
       p.stats[name] = value.as_double();
     }
   }
+  if (const Json* events = j.find("events")) p.events = events->as_uint();
   return p;
 }
 

@@ -193,6 +193,10 @@ struct SimulatePayload {
   /// "serdes.backpressure_stall_ps", ...). Additive in
   /// ndft.job_result.v1: older documents omit it and deserialize empty.
   std::map<std::string, double> stats;
+  /// Simulator events executed (RunReport::events). Additive in
+  /// ndft.job_result.v1 and kept outside `stats`: omitted when 0 (the GPU
+  /// baseline, older documents) and read back as 0 when absent.
+  std::uint64_t events = 0;
 };
 
 /// One kernel's placement decision plus the SCA view behind it (PlanJob).

@@ -271,6 +271,8 @@ RunReport NdftSystem::run_cpu_baseline(const dft::Workload& workload) const {
          static_cast<double>(queue.now()));
   }
 
+  report.events = queue.executed();
+
   const runtime::PseudoStore store(workload, config_.processes);
   report.pseudo = store.on_cpu(config_.cpu_capacity);
   return report;
@@ -474,6 +476,7 @@ RunReport NdftSystem::run_hybrid(const dft::Workload& workload,
   }
 
   report.mesh_bytes = ndp.mesh().bytes_sent();
+  report.events = queue.executed();
   report.pseudo = co_design
                       ? store.on_ndft(config_.ndp_capacity)
                       : store.on_ndp(runtime::PseudoLayout::kReplicated,

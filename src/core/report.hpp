@@ -2,6 +2,7 @@
 // Run reports: per-kernel timing breakdowns in the shape of the paper's
 // Figure 7, plus footprints and communication statistics.
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -52,6 +53,10 @@ struct RunReport {
   /// per channel/core), so payload size does not scale with the machine.
   /// Empty for the analytic GPU baseline.
   std::map<std::string, double> stats;
+  /// Events the simulator's EventQueue executed for this run
+  /// (EventQueue::executed()); the denominator of host time per event.
+  /// 0 for the analytic GPU baseline.
+  std::uint64_t events = 0;
 
   /// Total simulated time including scheduling overhead.
   TimePs total_ps() const noexcept;

@@ -23,7 +23,11 @@ struct GVector {
 class PlaneWaveBasis {
  public:
   /// `ecut_ha` is the wavefunction cutoff in Hartree (|G|^2/2 <= ecut).
+  /// The basis keeps a pointer to `crystal`, which must outlive it.
   PlaneWaveBasis(const Crystal& crystal, double ecut_ha);
+  /// A temporary crystal would dangle as soon as the constructor returns.
+  PlaneWaveBasis(Crystal&&, double) = delete;
+  PlaneWaveBasis(const Crystal&&, double) = delete;
 
   /// Basis vectors sorted by |G|^2 (G = 0 first).
   const std::vector<GVector>& gvectors() const noexcept { return g_; }

@@ -1,14 +1,15 @@
 #pragma once
 // The request type that flows from cores through caches into DRAM.
 
-#include <functional>
-
 #include "common/types.hpp"
+#include "sim/event_queue.hpp"
 
 namespace ndft::mem {
 
 /// Completion callback; receives the simulated time at which data returned.
-using MemCallback = std::function<void(TimePs)>;
+/// Move-only with inline storage, so a MemRequest (and every event that
+/// carries one) moves without allocating.
+using MemCallback = sim::CompletionFn;
 
 /// A single memory transaction (one cache line by the time it reaches DRAM).
 struct MemRequest {

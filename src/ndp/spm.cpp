@@ -87,7 +87,7 @@ void Spm::free(Addr offset) {
 }
 
 void Spm::timed_access(Bytes size, bool is_write,
-                       std::function<void(TimePs)> done) {
+                       sim::CompletionFn done) {
   stats().add(is_write ? "write_bytes" : "read_bytes",
               static_cast<double>(size));
   // The connection reproduces the previous port arithmetic exactly:
@@ -96,11 +96,11 @@ void Spm::timed_access(Bytes size, bool is_write,
   sender_.push(Access{std::move(done)}, std::max<Bytes>(size, 1));
 }
 
-void Spm::read(Bytes size, std::function<void(TimePs)> done) {
+void Spm::read(Bytes size, sim::CompletionFn done) {
   timed_access(size, /*is_write=*/false, std::move(done));
 }
 
-void Spm::write(Bytes size, std::function<void(TimePs)> done) {
+void Spm::write(Bytes size, sim::CompletionFn done) {
   timed_access(size, /*is_write=*/true, std::move(done));
 }
 

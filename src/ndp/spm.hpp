@@ -6,7 +6,6 @@
 // for pseudopotential blocks. We model a first-fit allocator plus a single
 // high-bandwidth port with low fixed latency; DRAM is ~20x slower to reach.
 
-#include <functional>
 #include <list>
 #include <optional>
 
@@ -44,9 +43,9 @@ class Spm : public sim::SimObject {
   Bytes capacity() const noexcept { return config_.capacity; }
 
   /// Timed read of `size` bytes; `done` fires when data is available.
-  void read(Bytes size, std::function<void(TimePs)> done);
+  void read(Bytes size, sim::CompletionFn done);
   /// Timed write of `size` bytes; `done` fires when the write retires.
-  void write(Bytes size, std::function<void(TimePs)> done);
+  void write(Bytes size, sim::CompletionFn done);
 
   const SpmConfig& config() const noexcept { return config_; }
 
@@ -59,11 +58,11 @@ class Spm : public sim::SimObject {
 
   /// One access in flight on the port connection.
   struct Access {
-    std::function<void(TimePs)> done;
+    sim::CompletionFn done;
   };
 
   void timed_access(Bytes size, bool is_write,
-                    std::function<void(TimePs)> done);
+                    sim::CompletionFn done);
 
   SpmConfig config_;
   std::list<Region> regions_;  // ordered by offset; adjacent free merged

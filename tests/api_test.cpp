@@ -269,6 +269,39 @@ TEST(JobResultJsonTest, ScfMixingResetsRoundTrip) {
   EXPECT_EQ(old.scf->mixing_resets, 0u);
 }
 
+TEST(JobResultJsonTest, SimulateEventsRoundTrip) {
+  Engine engine(fast_config());
+  SimulateJob job;
+  job.atoms = 8;
+  job.mode = core::ExecMode::kCpuBaseline;
+  const JobResult result = engine.run(job);
+  ASSERT_TRUE(result.ok()) << result.error_message;
+  ASSERT_TRUE(result.simulate.has_value());
+  const std::uint64_t events = result.simulate->events;
+  EXPECT_GT(events, 0u);
+  // The count sits beside the stats roll-up, not inside it.
+  EXPECT_EQ(result.simulate->stats.count("events"), 0u);
+  expect_round_trip(result);
+  const JobResult rebuilt =
+      JobResult::from_json(Json::parse(result.to_json().dump()));
+  EXPECT_EQ(rebuilt.simulate->events, events);
+
+  // Additive in v1: a document without the member reads as 0, and a run
+  // with no simulator (the analytic GPU baseline) omits it.
+  std::string legacy = result.to_json().dump();
+  const std::string member = ",\"events\":" + std::to_string(events);
+  const std::size_t at = legacy.find(member);
+  ASSERT_NE(at, std::string::npos);
+  legacy.erase(at, member.size());
+  EXPECT_EQ(JobResult::from_json(Json::parse(legacy)).simulate->events, 0u);
+
+  job.mode = core::ExecMode::kGpuBaseline;
+  const JobResult gpu = engine.run(job);
+  ASSERT_TRUE(gpu.ok()) << gpu.error_message;
+  EXPECT_EQ(gpu.simulate->events, 0u);
+  EXPECT_FALSE(gpu.to_json().at("payload").has("events"));
+}
+
 TEST(ScfJobTest, NonConvergenceIsTaggedAndCounted) {
   Engine engine(fast_config());
   ScfJob job;
@@ -531,6 +564,23 @@ TEST(EngineQueueTest, CheapBandJobOutranksLargeScfJob) {
   ASSERT_TRUE(h_scf.wait().ok());
   ASSERT_TRUE(h_band.wait().ok());
   EXPECT_LT(h_band.wait().engine.exec_seq, h_scf.wait().engine.exec_seq);
+}
+
+TEST(EngineQueueTest, ScfPricedAtTypicalIterationsNotTheCap) {
+  // The default mixer converges in 14-17 iterations, so a default ScfJob
+  // (cap 60) is queued as 17 iterations; a lower cap still bounds it.
+  const core::SystemConfig system = core::SystemConfig::paper_default();
+  ScfJob one;
+  one.scf.max_iterations = 1;
+  ScfJob five;
+  five.scf.max_iterations = 5;
+  const ScfJob capped;
+  ASSERT_EQ(capped.scf.max_iterations, 60u);
+  const TimePs per_iteration = Engine::estimate_cost_ps(one, system);
+  ASSERT_GT(per_iteration, 0u);
+  EXPECT_EQ(Engine::kTypicalScfIterations, 17u);
+  EXPECT_EQ(Engine::estimate_cost_ps(capped, system), 17 * per_iteration);
+  EXPECT_EQ(Engine::estimate_cost_ps(five, system), 5 * per_iteration);
 }
 
 // ------------------------------------------------- stage timing telemetry

@@ -378,6 +378,54 @@ TEST(SimulateMachineTest, Table3DocumentReproducesDefaultMachine) {
 }
 
 // ---------------------------------------------------------------------------
+// Stored-payload regression: the full SimulatePayload JSON of a small Si_8
+// run in both modes, recorded with the std::function/priority_queue event
+// core (tests/data/simulate_si8_*.json), must reproduce byte for byte. The
+// only permitted difference is the additive "events" member, which the
+// recording predates.
+
+/// Payload members in order, minus "events".
+Json without_events(const Json& payload) {
+  Json stripped = Json::object();
+  for (const auto& [name, value] : payload.members()) {
+    if (name != "events") stripped.set(name, value);
+  }
+  return stripped;
+}
+
+TEST(StoredPayloadTest, Si8PayloadsMatchRecordingByteForByte) {
+  // Few sampled ops per core keep both runs well under a second.
+  EngineConfig config;
+  config.dispatch_threads = 0;
+  config.system.min_ops_per_core = 100;
+  config.system.max_ops_per_core = 2000;
+  Engine engine(config);
+
+  const std::pair<core::ExecMode, const char*> cases[] = {
+      {core::ExecMode::kNdft, "simulate_si8_ndft.json"},
+      {core::ExecMode::kCpuBaseline, "simulate_si8_cpu_baseline.json"}};
+  for (const auto& [mode, file] : cases) {
+    const std::string path =
+        std::string(NDFT_SOURCE_DIR) + "/tests/data/" + file;
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing " << path;
+    std::stringstream recorded;
+    recorded << in.rdbuf();
+
+    api::SimulateJob job;
+    job.atoms = 8;
+    job.mode = mode;
+    job.sampled_ops = 2000;
+    const JobResult result = engine.run(job);
+    ASSERT_EQ(result.status, JobStatus::kOk) << result.error_message;
+    const Json payload = result.to_json().at("payload");
+    EXPECT_GT(payload.at("events").as_uint(), 0u) << file;
+    EXPECT_EQ(without_events(payload).dump(2) + "\n", recorded.str())
+        << file;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Component statistics surface in the SimulatePayload.
 
 TEST(SimulateStatsTest, BackPressureAndUtilizationObservableInPayload) {

@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <queue>
+#include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "mem/address_map.hpp"
+#include "mem/mem_request.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sim_object.hpp"
 #include "sim/stats.hpp"
@@ -128,6 +138,213 @@ TEST(EventQueueTest, ScheduleAfterUsesCurrentTime) {
   });
   queue.run();
   EXPECT_EQ(inner_fired_at, 130u);
+}
+
+// ---------------------------------------------------------------------------
+// The event core against a reference model. A std::priority_queue ordered on
+// (when, seq) decides which event is due; the queue under test must fire
+// exactly that event at exactly that time, across same-timestamp bursts,
+// events that schedule events, run_until cuts, and all three capture
+// storage kinds (trivially copyable, non-trivial inline, heap-boxed).
+
+struct ModelEvent {
+  TimePs when;
+  std::uint64_t seq;
+  std::uint64_t id;
+};
+
+struct ModelLater {
+  bool operator()(const ModelEvent& a, const ModelEvent& b) const {
+    if (a.when != b.when) return a.when > b.when;
+    return a.seq > b.seq;
+  }
+};
+
+class ReferenceHarness {
+ public:
+  static constexpr std::uint64_t kBudget = 20000;
+
+  EventQueue queue;
+  std::priority_queue<ModelEvent, std::vector<ModelEvent>, ModelLater> model;
+  std::mt19937_64 rng{20261019};
+  std::uint64_t scheduled = 0;
+  std::vector<std::uint64_t> fired;     // ids in queue execution order
+  std::vector<std::uint64_t> expected;  // ids in model order
+  std::uint64_t wrong_time = 0;
+
+  /// Mostly a few distinct small delays, so same-time collisions abound.
+  TimePs random_delay() {
+    switch (rng() % 4) {
+      case 0: return 0;
+      case 1: return rng() % 4;
+      case 2: return 10 * (rng() % 8);
+      default: return rng() % 5000;
+    }
+  }
+
+  void schedule(TimePs delay) {
+    const std::uint64_t id = scheduled++;
+    const TimePs when = queue.now() + delay;
+    model.push(ModelEvent{when, next_seq_++, id});
+    switch (id % 3) {
+      case 0:
+        queue.schedule_at(when, [this, id] { fire(id); });
+        break;
+      case 1:
+        queue.schedule_at(when, [this, id, tag = std::string(40, 'x')] {
+          EXPECT_EQ(tag.size(), 40u);
+          fire(id);
+        });
+        break;
+      default: {
+        std::array<std::uint64_t, 24> pad{};
+        pad.back() = id;
+        auto boxed = [this, pad] { fire(pad.back()); };
+        static_assert(!EventFn::stores_inline<decltype(boxed)>());
+        queue.schedule_at(when, std::move(boxed));
+        break;
+      }
+    }
+  }
+
+ private:
+  void fire(std::uint64_t id) {
+    ASSERT_FALSE(model.empty());
+    const ModelEvent due = model.top();
+    model.pop();
+    expected.push_back(due.id);
+    fired.push_back(id);
+    if (due.when != queue.now()) ++wrong_time;
+    if (scheduled < kBudget) {
+      for (std::uint64_t child = rng() % 3; child > 0; --child) {
+        schedule(random_delay());
+      }
+    }
+  }
+
+  std::uint64_t next_seq_ = 0;
+};
+
+TEST(EventQueueTest, MatchesReferenceModelUnderRandomSchedules) {
+  ReferenceHarness h;
+  while (h.scheduled < ReferenceHarness::kBudget) {
+    for (std::uint64_t burst = 1 + h.rng() % 16; burst > 0; --burst) {
+      h.schedule(h.random_delay());
+    }
+    const TimePs deadline = h.queue.now() + h.rng() % 3000;
+    EXPECT_EQ(h.queue.run_until(deadline), deadline);
+    // Everything due by the cut has fired; nothing later has.
+    EXPECT_TRUE(h.model.empty() || h.model.top().when > deadline);
+    EXPECT_EQ(h.queue.pending(), h.model.size());
+  }
+  h.queue.run();
+  EXPECT_TRUE(h.model.empty());
+  EXPECT_GE(h.scheduled, ReferenceHarness::kBudget);
+  EXPECT_EQ(h.queue.executed(), h.scheduled);
+  EXPECT_EQ(h.wrong_time, 0u);
+  ASSERT_EQ(h.fired.size(), h.expected.size());
+  EXPECT_TRUE(h.fired == h.expected) << "execution order diverged";
+}
+
+// Counts live instances: a capture destroyed twice drives `live` negative,
+// one never destroyed leaves it positive.
+struct Tracked {
+  static inline int live = 0;
+  Tracked() { ++live; }
+  Tracked(const Tracked&) { ++live; }
+  Tracked(Tracked&&) noexcept { ++live; }
+  Tracked& operator=(const Tracked&) = default;
+  ~Tracked() { --live; }
+};
+
+/// A capture larger than EventFn's inline buffer.
+struct BigPayload {
+  std::array<std::uint64_t, 32> words{};
+  Tracked tracked;
+};
+
+TEST(EventFnTest, AcceptsMoveOnlyCaptures) {
+  EventQueue queue;
+  int seen = 0;
+  auto value = std::make_unique<int>(42);
+  queue.schedule_at(5, [&seen, value = std::move(value)] { seen = *value; });
+  queue.run();
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(EventFnTest, OversizedCaptureRunsAndIsDestroyedOnce) {
+  Tracked::live = 0;
+  {
+    EventQueue queue;
+    std::uint64_t sum = 0;
+    auto big = [&sum, payload = BigPayload{}] {
+      sum += payload.words.size();
+    };
+    static_assert(!EventFn::stores_inline<decltype(big)>());
+    EXPECT_EQ(Tracked::live, 1);
+    queue.schedule_at(10, std::move(big));  // boxed on the heap
+    queue.schedule_at(20, [&sum] { sum += 100; });
+    EXPECT_EQ(Tracked::live, 2);
+    queue.run();
+    EXPECT_EQ(sum, 132u);
+    EXPECT_EQ(Tracked::live, 1);  // the boxed copy is gone; `big` remains
+  }
+  EXPECT_EQ(Tracked::live, 0);
+}
+
+TEST(EventFnTest, MemoryModelClosuresStoreInline) {
+  // The shapes the memory models schedule per event: a completion that
+  // wraps a std::function, and DramSystem's interconnect hop (the largest:
+  // owner pointer, a MemRequest and its DRAM coordinate).
+  static_assert(CompletionFn::stores_inline<std::function<void(TimePs)>>());
+  auto hop = [owner = static_cast<void*>(nullptr), req = mem::MemRequest{},
+              coord = mem::DramCoord{}] { (void)owner; };
+  static_assert(EventFn::stores_inline<decltype(hop)>());
+  EventFn fn(std::move(hop));
+  EXPECT_TRUE(static_cast<bool>(fn));
+  fn();
+}
+
+TEST(EventQueueTest, RejectsEmptyCallbacks) {
+  EventQueue queue;
+  EXPECT_THROW(queue.schedule_at(1, std::function<void()>{}), NdftError);
+  EXPECT_THROW(queue.schedule_at(1, EventFn{}), NdftError);
+  EXPECT_EQ(queue.pending(), 0u);
+}
+
+TEST(EventQueueTest, ThrowingEventLeavesQueueConsistent) {
+  Tracked::live = 0;
+  EventQueue queue;
+  int later = 0;
+  queue.schedule_at(10, [tracked = Tracked{}] {
+    (void)tracked;
+    throw std::runtime_error("device fault");
+  });
+  queue.schedule_at(20, [&later] { ++later; });
+  EXPECT_THROW(queue.run(), std::runtime_error);
+  EXPECT_EQ(queue.now(), 10u);
+  EXPECT_EQ(queue.executed(), 1u);
+  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_EQ(Tracked::live, 0);  // the failed event's capture is released
+  // Still usable: new events interleave with the survivor in time order.
+  queue.schedule_at(15, [&later] { later *= 10; });
+  queue.run();
+  EXPECT_EQ(later, 1);  // 0 * 10 at t=15, then + 1 at t=20
+  EXPECT_EQ(queue.executed(), 3u);
+  EXPECT_EQ(queue.pending(), 0u);
+}
+
+TEST(EventQueueTest, DestroyingQueueDestroysPendingCaptures) {
+  Tracked::live = 0;
+  {
+    EventQueue queue;
+    queue.schedule_at(10, [tracked = Tracked{}] { (void)tracked; });
+    queue.schedule_at(20, [payload = BigPayload{}] { (void)payload; });
+    queue.run_until(5);
+    EXPECT_EQ(Tracked::live, 2);
+    EXPECT_EQ(queue.pending(), 2u);
+  }
+  EXPECT_EQ(Tracked::live, 0);
 }
 
 TEST(StatSetTest, AddAndGet) {
